@@ -21,14 +21,15 @@ from typing import Iterable, Sequence
 from .complexes import (
     Ambient,
     FaceComplex,
+    MalformedCertificateError,
     ambient_from_json,
     ambient_to_json,
+    json_field,
     key_from_json,
     key_to_json,
 )
 from .faces import (
     ADJACENT,
-    BOTTOM,
     INNER,
     MIXED,
     TOP,
@@ -67,20 +68,25 @@ def _sig(ef: ElementaryFace) -> tuple:
 
 
 class ExtensionSet:
-    """A base complex inside ``Sub(ambient)`` plus a set of elementary face
-    maps whose endpoints are both missing."""
+    """A base complex plus a set of elementary face maps whose endpoints
+    are both missing, over a face ``top`` of the ambient (by default the
+    full face).  A set over a face is a downset view: the faces of ``top``
+    are the faces below it in ``Sub(ambient)``, with the same keys."""
 
-    def __init__(self, ambient: Tree, base: FaceComplex, members: Iterable[ElementaryFace]):
+    def __init__(self, ambient: Tree, base: FaceComplex, members: Iterable[ElementaryFace],
+                 top: Face | None = None):
         self.ambient = ambient
         self.base = base
         self.poset: SubPoset = enumerate_sub(ambient)
+        self.top = self.poset.top if top is None else top
+        self.view = self.poset.downset_mask(self.top)
         self.members = frozenset(members)
         self._member_sigs = frozenset(_sig(ef) for ef in self.members)
         for ef in self.members:
             if base.contains(ef.domain.key) or base.contains(ef.codomain_key):
                 raise FaceError(f"member {ef!r} touches a non-missing face")
         self.missing: list[Face] = [
-            f for f in self.poset if not base.contains(f.key)
+            f for f in self.poset.faces_in(self.view) if not base.contains(f.key)
         ]
         self._missing_keys = frozenset(f.key for f in self.missing)
         self._faces_in: dict[FaceKey, list[ElementaryFace]] = {}
@@ -88,6 +94,13 @@ class ExtensionSet:
         for ef in sorted(self.members, key=_sig):
             self._faces_in.setdefault(ef.codomain_key, []).append(ef)
             self._exts_in.setdefault(ef.domain.key, []).append(ef)
+
+    def extensions_of(self, p: Face | FaceKey) -> list[ElementaryFace]:
+        """Elementary face maps out of ``p`` whose codomain lies in the view."""
+        index = self.poset.index
+        return [
+            g for g in self.poset.extensions_of(p) if self.view >> index[g.codomain_key] & 1
+        ]
 
     def is_missing(self, key: FaceKey) -> bool:
         return key in self._missing_keys
@@ -166,7 +179,7 @@ def check_axioms(es: ExtensionSet) -> AxiomReport:
         inside = es.extensions_in_set(p.key)
         if not inside:
             continue
-        for g in poset.extensions_of(p.key):
+        for g in es.extensions_of(p.key):
             if es.contains_map(g):
                 continue
             bad = [
@@ -178,7 +191,7 @@ def check_axioms(es: ExtensionSet) -> AxiomReport:
                 failures["F2"].append(f"{g!r} has bad partners {bad!r}")
 
     # F3: two-out-of-four closure on commuting squares.
-    for p in poset:
+    for p in poset.faces_in(es.view):
         if p.rank < 2:
             continue
         ff = poset.faces_of(p.key)
@@ -224,24 +237,20 @@ def check_axioms(es: ExtensionSet) -> AxiomReport:
     join_cache: dict[tuple[FaceKey, FaceKey], Face] = {}
     for f in sorted(es.members, key=_sig):
         p = f.domain
-        for g in poset.extensions_of(p.key):
+        for g in es.extensions_of(p.key):
             if _sig(g) == _sig(f):
                 continue
             pair = tuple(sorted((f.codomain_key, g.codomain_key)))
             join = join_cache.get(pair)
             if join is None:
-                mins = poset.minimal_upper_bounds(f.codomain, g.codomain)
+                mins = poset.minimal_upper_bounds(f.codomain, g.codomain, es.view)
                 if len(mins) != 1:
                     failures["F4"].append(f"non-unique join over {p!r}")
                     continue
                 join = join_cache.setdefault(pair, mins[0])
             low = g.codomain_key
-            jmask = poset.downset_mask(join.key)
-            for x in poset:
-                if not (jmask >> poset.index[x.key]) & 1:
-                    continue
-                if not poset.leq(low, x.key):
-                    continue
+            interval = poset.downset_mask(join.key) & poset.upset_mask(low)
+            for x in poset.faces_in(interval):
                 for step in poset.faces_of(x.key):
                     if poset.leq(low, step.domain.key) and not es.contains_map(step):
                         failures["F4"].append(
@@ -324,11 +333,15 @@ class Step:
 
     @staticmethod
     def from_json(data: dict) -> "Step":
+        omit = json_field(data, "omit", dict)
+        batch = json_field(data, "batch", list)
+        if not all(isinstance(b, int) for b in batch):
+            raise MalformedCertificateError("'batch' must be a list of integers")
         return Step(
-            key_from_json(data["face"]),
-            data["omit"]["kind"],
-            data["omit"]["at"],
-            tuple(data["batch"]),
+            key_from_json(json_field(data, "face", dict)),
+            json_field(omit, "kind", str),
+            json_field(omit, "at", str),
+            tuple(batch),
         )
 
 
@@ -357,17 +370,16 @@ class Certificate:
     def from_json(data: dict) -> "Certificate":
         from .complexes import closure, _universe_of
 
-        ambient = ambient_from_json(data["ambient"])
+        steps = tuple(Step.from_json(s) for s in json_field(data, "steps", list))
+        class_tag = json_field(data, "class", str)
+        keys = [key_from_json(item) for item in json_field(data, "base", list)]
+        ambient = ambient_from_json(json_field(data, "ambient", dict))
         universe = _universe_of(ambient)
-        faces = []
-        for item in data["base"]:
-            key = key_from_json(item)
+        for key in keys:
             if key not in universe:
                 raise FaceError(f"base face {key} is not a face of the ambient")
-            faces.append(universe[key])
-        base = closure(ambient, faces)
-        steps = tuple(Step.from_json(s) for s in data["steps"])
-        return Certificate(ambient, base, data["class"], steps)
+        base = closure(ambient, [universe[key] for key in keys])
+        return Certificate(ambient, base, class_tag, steps)
 
     @staticmethod
     def loads(text: str) -> "Certificate":

@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success or certificate accepted, 1 verification failed,
-2 parse or usage error, 3 precondition violation (inadmissible pair,
-missing edge or vertex).
+2 parse, usage or malformed-certificate error, 3 precondition violation
+(inadmissible pair, missing edge or vertex).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import sys
 from . import dot
 from .anodyne import Certificate, segal_certificate
 from .certify import replay_certificate
-from .complexes import key_to_json
+from .complexes import MalformedCertificateError, key_to_json
 from .faces import FaceError, enumerate_sub
 from .order import edge_order
 from .pushout import InadmissiblePairError, certify_pp_inner, certify_pp_stable
@@ -219,7 +219,7 @@ def run(argv=None) -> int:
     except (TreeError, FaceError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, MalformedCertificateError) as exc:
         sys.stderr.write(f"malformed certificate: {exc}\n")
         return 2
     except FileNotFoundError as exc:

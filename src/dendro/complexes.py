@@ -10,7 +10,7 @@ union of representables a genuine union.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Union
 
 from .faces import ElementaryFace, Face, FaceError, FaceKey, SubPoset, enumerate_sub, full_face
@@ -111,13 +111,10 @@ class FaceComplex:
         faces = [_universe_of(self.ambient)[k] for k in self.members]
         by_rank = sorted(faces, key=lambda f: (-f.rank, f.key))
         maximal: list[Face] = []
-        out = []
         for f in by_rank:
-            if any(_face_leq(f, m) for m in maximal):
-                continue
-            maximal.append(f)
-            out.append(f.key)
-        return sorted(out)
+            if not any(_face_leq(f, m) for m in maximal):
+                maximal.append(f)
+        return sorted(m.key for m in maximal)
 
     def is_closed(self) -> bool:
         from .faces import all_elementary_faces
@@ -137,13 +134,9 @@ class FaceComplex:
 
 
 def _face_leq(a: Face, b: Face) -> bool:
-    """a <= b in the face order; cheap test via closure membership."""
-    if a.key == b.key:
-        return True
-    if not a.edges <= b.edges:
-        return False
-    sub = enumerate_sub(b.as_tree())
-    return a.key in sub.index
+    """a <= b in the face order, read from the poset of b's ambient tree."""
+    sub = enumerate_sub(b.ambient)
+    return a.key in sub.index and sub.leq(a.key, b.key)
 
 
 def closure(ambient: Ambient, faces: Iterable[Face]) -> FaceComplex:
@@ -218,14 +211,27 @@ def ambient_to_json(ambient: Ambient) -> dict:
     return {"type": "tree", "tree": render_tree(ambient)}
 
 
+class MalformedCertificateError(ValueError):
+    """Certificate JSON with a missing key or a value of the wrong type."""
+
+
+def json_field(data, name: str, kind: type):
+    """``data[name]``, checked to be present and of type ``kind``."""
+    if not isinstance(data, dict) or not isinstance(data.get(name), kind):
+        raise MalformedCertificateError(f"{name!r} must be a {kind.__name__}")
+    return data[name]
+
+
 def ambient_from_json(data: dict) -> Ambient:
     from .trees import parse_tree
 
-    if data["type"] == "tree":
-        return parse_tree(data["tree"]).tree
-    if data["type"] == "tensor":
-        return TensorAmbient(parse_tree(data["s"]), parse_tree(data["t"]))
-    raise FaceError(f"unknown ambient type {data['type']!r}")
+    kind = json_field(data, "type", str)
+    if kind == "tree":
+        return parse_tree(json_field(data, "tree", str)).tree
+    if kind == "tensor":
+        s, t = json_field(data, "s", str), json_field(data, "t", str)
+        return TensorAmbient(parse_tree(s), parse_tree(t))
+    raise FaceError(f"unknown ambient type {kind!r}")
 
 
 def key_to_json(key: FaceKey) -> dict:
@@ -233,4 +239,7 @@ def key_to_json(key: FaceKey) -> dict:
 
 
 def key_from_json(item: dict) -> FaceKey:
-    return (tuple(sorted(item["edges"])), tuple(sorted(item["caps"])))
+    edges, caps = json_field(item, "edges", list), json_field(item, "caps", list)
+    if not all(isinstance(e, str) for e in edges + caps):
+        raise MalformedCertificateError("face edges and caps must be strings")
+    return (tuple(sorted(edges)), tuple(sorted(caps)))

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
-from .trees import Operation, Tree, TreeError, is_operation
+from .trees import Operation, Tree, is_operation
 
 FaceKey = tuple[tuple[str, ...], tuple[str, ...]]
 
@@ -342,7 +342,9 @@ class SubPoset:
     """``Sub(T)``: all faces of a tree, graded by rank, with cover maps.
 
     Built as the closure of the full face under elementary face maps.
-    Provides downset/upset bitmasks for fast order queries.
+    Provides downset/upset bitmasks for fast order queries.  The faces of
+    a face ``F`` are the faces below ``F`` here, with the same keys, so a
+    set over ``F`` is the downset view ``downset_mask(F)`` of this poset.
     """
 
     def __init__(self, ambient: Tree):
@@ -370,13 +372,19 @@ class SubPoset:
         for ef in self.covers:
             self._faces_of[ef.codomain_key].append(ef)
             self._extensions_of[ef.domain.key].append(ef)
-        # downsets as bitmasks, computed up the rank grading
+        # downsets and upsets as bitmasks, computed along the rank grading
         self._down: list[int] = [0] * len(self.faces)
         for i, f in enumerate(self.faces):
             mask = 1 << i
             for ef in self._faces_of[f.key]:
                 mask |= self._down[self.index[ef.domain.key]]
             self._down[i] = mask
+        self._up: list[int] = [0] * len(self.faces)
+        for i in reversed(range(len(self.faces))):
+            mask = 1 << i
+            for ef in self._extensions_of[self.faces[i].key]:
+                mask |= self._up[self.index[ef.codomain_key]]
+            self._up[i] = mask
 
     def __len__(self) -> int:
         return len(self.faces)
@@ -407,17 +415,25 @@ class SubPoset:
     def downset_mask(self, p: Face | FaceKey) -> int:
         return self._down[self.index[p.key if isinstance(p, Face) else p]]
 
-    def downset(self, p: Face | FaceKey) -> list[Face]:
-        mask = self.downset_mask(p)
-        return [f for i, f in enumerate(self.faces) if mask >> i & 1]
+    def upset_mask(self, p: Face | FaceKey) -> int:
+        return self._up[self.index[p.key if isinstance(p, Face) else p]]
 
-    def minimal_upper_bounds(self, a: Face, b: Face) -> list[Face]:
-        ia, ib = self.index[a.key], self.index[b.key]
-        ubs = [i for i in range(len(self.faces)) if self._down[i] >> ia & 1 and self._down[i] >> ib & 1]
-        ub_mask = 0
-        for i in ubs:
-            ub_mask |= 1 << i
-        return [self.faces[i] for i in ubs if self._down[i] & ub_mask == 1 << i]
+    def faces_in(self, mask: int) -> list[Face]:
+        """The faces whose bits are set in ``mask``, in (rank, key) order."""
+        out = []
+        while mask:
+            out.append(self.faces[(mask & -mask).bit_length() - 1])
+            mask &= mask - 1
+        return out
+
+    def downset(self, p: Face | FaceKey) -> list[Face]:
+        return self.faces_in(self.downset_mask(p))
+
+    def minimal_upper_bounds(self, a: Face, b: Face, within: int = -1) -> list[Face]:
+        """Minimal common upper bounds of ``a`` and ``b`` among the faces
+        in the mask ``within`` (the ones of the poset that lie in a view)."""
+        ub = self.upset_mask(a) & self.upset_mask(b) & within
+        return [f for f in self.faces_in(ub) if (self.downset_mask(f) & ub).bit_count() == 1]
 
 
 _sub_cache: dict[Tree, SubPoset] = {}
@@ -492,11 +508,11 @@ def _is_adjacent(f: ElementaryFace, g: ElementaryFace) -> bool:
     """Adjacency for a composable pair ``f: Q -> P``, ``g: P -> P'``: the
     pair admits no commuting square, i.e. the map labelled like ``f`` cannot
     be transported to a face of ``g``'s codomain."""
-    big = g.codomain
-    for cand in all_elementary_faces(big):
+    poset = enumerate_sub(g.codomain.ambient)
+    for cand in poset.faces_of(g.codomain_key):
         if cand.kind != f.kind or cand.at != f.at:
             continue
-        for back in all_elementary_faces(cand.domain):
+        for back in poset.faces_of(cand.domain.key):
             if back.kind == g.kind and back.at == g.at and back.domain.key == f.domain.key:
                 return False
     return True

@@ -26,7 +26,7 @@ from .anodyne import (
     class_of_steps,
     filtration_steps,
 )
-from .complexes import FaceComplex, TensorAmbient, full_complex
+from .complexes import FaceComplex, TensorAmbient
 from .faces import (
     BOTTOM,
     INNER,
@@ -41,7 +41,7 @@ from .faces import (
     make_key,
 )
 from .order import EdgeOrder, edge_order
-from .shuffles import BLACK, WHITE, Shuffle, pair_name, split_name
+from .shuffles import BLACK, Shuffle, pair_name, split_name
 from .trees import Operation, PlanarTree, Tree, classify, is_operation
 
 
@@ -122,9 +122,6 @@ class PPContext:
 
     # -- per-shuffle plumbing ---------------------------------------------
 
-    def shuffle_order(self, sh: Shuffle) -> EdgeOrder:
-        return edge_order(sh.tree)
-
     def restricted_order(self, ordr: EdgeOrder, face: Face) -> EdgeOrder:
         planar = PlanarTree(
             face.as_tree(),
@@ -137,15 +134,13 @@ class PPContext:
         rank = {e: ordr.rank[e] for e in face.edges}
         return EdgeOrder(planar, rank)
 
-    def local_base(self, ambient: Tree) -> FaceComplex:
-        sub = enumerate_sub(ambient)
-        return FaceComplex(ambient, frozenset(k for k in sub.index if k in self.current))
+    def local_base(self, sub: SubPoset, top: Face) -> FaceComplex:
+        """The present faces in the downset view of ``top`` in ``sub``."""
+        keys = (f.key for f in sub.downset(top))
+        return FaceComplex(sub.ambient, frozenset(k for k in keys if k in self.current))
 
     def add_downset(self, sub: SubPoset, face: Face) -> None:
-        mask = sub.downset_mask(face.key)
-        for i, f in enumerate(sub.faces):
-            if mask >> i & 1:
-                self.current.add(f.key)
+        self.current.update(f.key for f in sub.downset(face))
 
     def next_phase(self) -> int:
         self.phase += 1
@@ -154,8 +149,7 @@ class PPContext:
     def run_filtration(self, es: ExtensionSet, ordr: EdgeOrder) -> None:
         self.extension_sets.append(es)
         self.steps.extend(filtration_steps(es, ordr, phase=self.next_phase()))
-        for f in enumerate_sub(es.ambient):
-            self.current.add(f.key)
+        self.add_downset(es.poset, es.top)
 
 
 def require_admissible(s_tree: PlanarTree, t_tree: PlanarTree) -> None:
@@ -217,7 +211,7 @@ def black_root_extension_set(sh: Shuffle, ctx: PPContext) -> ExtensionSet:
     v_inputs = S.ordered_children(rs)
     xs = _white_vertex_sites(sh, rs, v_inputs)
     sub = enumerate_sub(tr)
-    base = ctx.local_base(tr)
+    base = ctx.local_base(sub, sub.top)
     members = []
     for ef in sub.covers:
         if ef.kind != INNER:
@@ -235,6 +229,21 @@ def black_root_extension_set(sh: Shuffle, ctx: PPContext) -> ExtensionSet:
     return ExtensionSet(tr, base, members)
 
 
+def _t_top(
+    ctx: PPContext, l1: str, edges: frozenset[str], empty: frozenset[str]
+) -> tuple[frozenset[str], frozenset[str]]:
+    """The T-colours of the given edges that lie over the distinguished
+    input ``l1`` of S, and their maximal elements in T (``empty`` when there
+    are none), checked to form an operation of T with the root as output."""
+    S, T = ctx.s_tree.tree, ctx.t_tree.tree
+    covered = frozenset(split_name(e)[1] for e in edges if S.leq(l1, split_name(e)[0]))
+    top = frozenset(t for t in covered if not any(x != t and T.leq(t, x) for x in covered))
+    top = top or empty
+    if not is_operation(T, Operation(top, T.root)):
+        raise FaceError(f"T-top {sorted(top)} is not an operation of T")
+    return covered, top
+
+
 def essential_data(sh: Shuffle, face: Face, ctx: PPContext) -> EssentialData:
     """T-covering and T-top of an essential face of a white-rooted shuffle."""
     tr = sh.tree.tree
@@ -248,17 +257,8 @@ def essential_data(sh: Shuffle, face: Face, ctx: PPContext) -> EssentialData:
     }
     if not required <= face.edges:
         raise FaceError("face is not essential: a copy over a leaf input is incomplete")
-    S = ctx.s_tree.tree
-    covered = set()
-    for e in face.leaves:
-        s, t = split_name(e)
-        if S.leq(l1, s):
-            covered.add(t)
-    top = {t for t in covered if not any(x != t and T.leq(t, x) for x in covered)}
-    # the maximal covered colours always form an operation of T
-    if not is_operation(T, Operation(frozenset(top), T.root)):
-        raise FaceError(f"T-top {sorted(top)} is not an operation of T")
-    return EssentialData(face, frozenset(covered), frozenset(top))
+    covered, top = _t_top(ctx, l1, face.leaves, frozenset())
+    return EssentialData(face, covered, top)
 
 
 def white_root_extension_set(
@@ -274,8 +274,7 @@ def white_root_extension_set(
     """
     T = ctx.t_tree.tree
     _, leaf_inputs = _root_vertex_data(ctx.s_tree)
-    ambient = face.as_tree()
-    sub = enumerate_sub(ambient)
+    sub = enumerate_sub(face.ambient)
 
     def top_shape(y: str) -> frozenset[str] | None:
         over = frozenset(x for x in top_colours if x != y and T.leq(y, x))
@@ -286,24 +285,25 @@ def white_root_extension_set(
         return frozenset()
 
     members = []
-    for ef in sub.covers:
-        if base.contains(ef.codomain_key) or base.contains(ef.domain.key):
-            continue
-        s, y = split_name(ef.at)
-        if s not in leaf_inputs:
-            continue
-        if ef.kind == INNER:
-            if y in top_colours:
-                members.append(ef)
-        elif ef.kind == TOP:
-            shape = top_shape(y)
-            if shape is None:
+    for p in sub.downset(face):
+        for ef in sub.faces_of(p):
+            if base.contains(ef.codomain_key) or base.contains(ef.domain.key):
                 continue
-            chopped = ef.codomain.vertex_inputs(ef.at)
-            want = frozenset(pair_name(s, c) for c in shape)
-            if chopped == want:
-                members.append(ef)
-    return ExtensionSet(ambient, base, members)
+            s, y = split_name(ef.at)
+            if s not in leaf_inputs:
+                continue
+            if ef.kind == INNER:
+                if y in top_colours:
+                    members.append(ef)
+            elif ef.kind == TOP:
+                shape = top_shape(y)
+                if shape is None:
+                    continue
+                chopped = ef.codomain.vertex_inputs(ef.at)
+                want = frozenset(pair_name(s, c) for c in shape)
+                if chopped == want:
+                    members.append(ef)
+    return ExtensionSet(face.ambient, base, members, face)
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +353,7 @@ def certify_pp_stable(
             continue
         if sh.vertex_colour(tr.root) == BLACK:
             es = black_root_extension_set(sh, ctx)
-            ctx.run_filtration(es, ctx.shuffle_order(sh))
+            ctx.run_filtration(es, edge_order(sh.tree))
         else:
             _fill_white_rooted(ctx, sh, l1, leaf_inputs, rt)
         missing = [k for k in sub.index if k not in ctx.current]
@@ -374,36 +374,20 @@ def _top_colours(ctx: PPContext, sh: Shuffle, face: Face) -> frozenset[str]:
     l1, leaf_inputs = _root_vertex_data(ctx.s_tree)
     if not leaf_inputs:
         return frozenset()
-    S, T = ctx.s_tree.tree, ctx.t_tree.tree
-    covered = {
-        split_name(e)[1]
-        for e in face.maximal
-        if S.leq(l1, split_name(e)[0])
-    }
-    top = frozenset(
-        t for t in covered if not any(x != t and T.leq(t, x) for x in covered)
-    )
-    if not top and T.leaves:
-        top = frozenset({T.root})
-    if not is_operation(T, Operation(top, T.root)):
-        raise FaceError(f"handover colours {sorted(top)} are not an operation of T")
-    return top
+    T = ctx.t_tree.tree
+    root_identity = frozenset({T.root}) if T.leaves else frozenset()
+    return _t_top(ctx, l1, face.maximal, root_identity)[1]
 
 
 def _fill_white_rooted(ctx: PPContext, sh: Shuffle, l1, leaf_inputs, rt) -> None:
     tr = sh.tree.tree
     sub = ctx.tensor.sub(sh)
-    ordr = ctx.shuffle_order(sh)
+    ordr = edge_order(sh.tree)
     l1_rt = pair_name(l1, rt)
     top = full_face(tr)
     hang_edges = {e for e in tr.edges if tr.leq(l1_rt, e)}
     hanging = Face(tr, hang_edges, top.caps & hang_edges)
-    over = [
-        f
-        for f in sub
-        if f.root == l1_rt and sub.leq(f.key, hanging.key)
-    ]
-    over.sort(key=lambda f: (f.rank, f.key))
+    over = [f for f in sub.downset(hanging) if f.root == l1_rt]
 
     def grafted(rp: Face) -> Face:
         edges = {tr.root} | {
@@ -419,9 +403,9 @@ def _fill_white_rooted(ctx: PPContext, sh: Shuffle, l1, leaf_inputs, rt) -> None
         whole = grafted(rp)
         contracted = apply_elementary_face(whole, INNER, l1_rt)
         tc = _top_colours(ctx, sh, contracted)
-        local = ctx.local_base(contracted.as_tree())
+        local = ctx.local_base(sub, contracted)
         es = white_root_extension_set(contracted, tc, local, ctx)
-        ctx.run_filtration(es, ctx.restricted_order(ordr, contracted))
+        ctx.run_filtration(es, ordr)
 
     # second sweep: one bottom horn per missing hanging face, then fill
     for rp in over:
@@ -438,9 +422,9 @@ def _fill_white_rooted(ctx: PPContext, sh: Shuffle, l1, leaf_inputs, rt) -> None
                 Step(capped.key, BOTTOM, l1_rt, (ctx.next_phase(), rp.rank, 0))
             )
             ctx.add_downset(sub, capped)
-        local = ctx.local_base(whole.as_tree())
+        local = ctx.local_base(sub, whole)
         es = white_root_extension_set(whole, tc, local, ctx)
-        ctx.run_filtration(es, ctx.restricted_order(ordr, whole))
+        ctx.run_filtration(es, ordr)
 
 
 def certify_pp_inner(
@@ -465,7 +449,7 @@ def certify_pp_inner(
         if all(k in ctx.current for k in sub.index):
             continue
         xs = _white_vertex_sites(sh, below, v_inputs)
-        local = ctx.local_base(tr)
+        local = ctx.local_base(sub, sub.top)
         members = []
         for ef in sub.covers:
             if ef.kind != INNER:
@@ -476,7 +460,7 @@ def certify_pp_inner(
             if s == e and x in xs:
                 members.append(ef)
         es = ExtensionSet(tr, local, members)
-        ctx.run_filtration(es, ctx.shuffle_order(sh))
+        ctx.run_filtration(es, edge_order(sh.tree))
         missing = [k for k in sub.index if k not in ctx.current]
         if missing:
             raise ReplayGuardError(f"shuffle not exhausted: {missing[:3]}")

@@ -231,42 +231,43 @@ def parse_tree(text: str) -> PlanarTree:
             raise TreeParseError("expected an edge name", start)
         return text[start:pos]
 
-    edges: list[str] = []
+    edges: set[str] = set()
     parent: dict[str, str] = {}
     leaves: list[str] = []
     order: dict[str, tuple[str, ...]] = {}
+    # open brackets, innermost last: (edge name, its position, its inputs)
+    stack: list[tuple[str, int, list[str]]] = []
 
-    def parse_edge() -> str:
-        nonlocal pos
+    skip_ws()
+    if pos >= n:
+        raise TreeParseError("empty input", pos)
+    while True:
         skip_ws()
         at = pos
         name = parse_name()
         if name in edges:
             raise TreeParseError(f"duplicate edge name {name!r}", at)
-        edges.append(name)
+        edges.add(name)
+        if stack:
+            parent[name] = stack[-1][0]
+            stack[-1][2].append(name)
         skip_ws()
         if pos < n and text[pos] == "[":
             pos += 1
-            kids = []
-            while True:
-                skip_ws()
-                if pos >= n:
-                    raise TreeParseError("unclosed '['", at)
-                if text[pos] == "]":
-                    pos += 1
-                    break
-                kid = parse_edge()
-                parent[kid] = name
-                kids.append(kid)
-            order[name] = tuple(kids)
+            stack.append((name, at, []))
         else:
             leaves.append(name)
-        return name
-
-    skip_ws()
-    if pos >= n:
-        raise TreeParseError("empty input", pos)
-    parse_edge()
+        while stack:
+            skip_ws()
+            if pos >= n:
+                raise TreeParseError("unclosed '['", stack[-1][1])
+            if text[pos] != "]":
+                break
+            pos += 1
+            closed, _, kids = stack.pop()
+            order[closed] = tuple(kids)
+        if not stack:
+            break
     skip_ws()
     if pos < n:
         raise TreeParseError(f"unexpected trailing input {text[pos]!r}", pos)
@@ -281,12 +282,20 @@ def render_tree(t: Tree | PlanarTree) -> str:
     else:
         tree, kids = t, lambda e: t.children[e]
 
-    def rec(e: str) -> str:
-        if tree.is_leaf(e):
-            return e
-        return e + "[" + " ".join(rec(c) for c in kids(e)) + "]"
-
-    return rec(tree.root)
+    parts: list[str] = []
+    # edges still to render, and None for a closing bracket
+    stack: list[str | None] = [tree.root]
+    while stack:
+        e = stack.pop()
+        if e is not None and not tree.is_leaf(e):
+            parts.append(e + "[")
+            stack.append(None)
+            stack.extend(reversed(kids(e)))
+            continue
+        parts.append("]" if e is None else e)
+        if stack and stack[-1] is not None:  # a sibling follows
+            parts.append(" ")
+    return "".join(parts)
 
 
 def tree(text: str) -> Tree:

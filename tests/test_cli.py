@@ -119,3 +119,37 @@ class TestDot:
         assert run(["dot", "--t", "c[d]", "--s", "a[b]"]) == 0
         out, _ = capture(capsys)
         assert "fillcolor=white" in out and "fillcolor=black" in out
+
+
+class TestMalformedCertificates:
+    @pytest.mark.parametrize(
+        "mangle",
+        [
+            lambda data: data.pop("steps"),
+            lambda data: data["steps"][0].update(omit=5),
+            lambda data: data.update(base="x"),
+        ],
+        ids=["no-steps", "omit-int", "base-str"],
+    )
+    def test_bad_shape_exit_2(self, capsys, tmp_path, mangle):
+        path = tmp_path / "cert.json"
+        assert run(["segal-cert", "--t", "a[b[c]]", "--out", str(path)]) == 0
+        data = json.loads(path.read_text())
+        mangle(data)
+        path.write_text(json.dumps(data))
+        capture(capsys)
+        assert run(["verify", str(path)]) == 2
+        _, err = capture(capsys)
+        assert err.startswith("malformed certificate:")
+
+
+class TestDeepTrees:
+    @pytest.mark.parametrize("depth", [1200, 5000])
+    def test_parse_and_render_deep_linear_tree(self, capsys, depth):
+        from dendro.trees import parse_tree, render_tree
+
+        text = "".join(f"x{i}[" for i in range(depth)) + "y" + "]" * depth
+        assert render_tree(parse_tree(text)) == text
+        assert run(["parse", "--t", text]) == 0
+        out, _ = capture(capsys)
+        assert json.loads(out)["canonical"] == text
