@@ -375,10 +375,9 @@ class Certificate:
         keys = [key_from_json(item) for item in json_field(data, "base", list)]
         ambient = ambient_from_json(json_field(data, "ambient", dict))
         universe = _universe_of(ambient)
-        for key in keys:
-            if key not in universe:
-                raise FaceError(f"base face {key} is not a face of the ambient")
-        base = closure(ambient, [universe[key] for key in keys])
+        base = closure(ambient, [universe[key] for key in keys if key in universe])
+        # keys outside the ambient stay in the base, where replay rejects them
+        base = FaceComplex(ambient, base.members.union(keys))
         return Certificate(ambient, base, class_tag, steps)
 
     @staticmethod

@@ -1,11 +1,12 @@
 """Independent certificate replay.
 
-The verifier re-derives every horn from the face machinery alone: for each
-step it checks that the step's face and omitted face are new, that every
-other elementary face is already present, and that the closure stays
-intact; at the end the complex must equal the full ambient complex and the
-class tag must match the step kinds.  It never consults the modules that
-produce certificates.
+The verifier reads each face's elementary faces from its ambient's face
+poset, the same ``Sub(T)`` the universe is built from: for each step it
+checks that the step's face and omitted face are new, that every other
+elementary face is already present, and that the closure stays intact; at
+the end the complex must equal the full ambient complex and the class tag
+must match the step kinds.  It never consults the modules that produce
+certificates.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Optional
 
 from .anodyne import Certificate, Step, class_of_steps
 from .complexes import _universe_of
-from .faces import all_elementary_faces
+from .faces import BOTTOM, enumerate_sub
 
 
 @dataclass(frozen=True)
@@ -31,8 +32,9 @@ class Verdict:
 def replay_certificate(cert: Certificate) -> Verdict:
     """Replay a certificate step by step against its base complex."""
     universe = _universe_of(cert.ambient)
+    keys = universe.keys()
     current = set(cert.base.members)
-    if not current <= set(universe):
+    if not current <= keys:
         return Verdict(False, None, "base contains keys outside the ambient")
     for i, step in enumerate(cert.steps):
         face = universe.get(step.face)
@@ -40,7 +42,10 @@ def replay_certificate(cert: Certificate) -> Verdict:
             return Verdict(False, i, f"step face {step.face} is not an ambient face")
         if face.key in current:
             return Verdict(False, i, f"step face {step.face} already present")
-        efs = all_elementary_faces(face)
+        poset = enumerate_sub(face.ambient)
+        # all_elementary_faces order (inner, top, bottom), which the poset
+        # sorts bottom first: "horn incomplete" names the first missing face
+        efs = sorted(poset.faces_of(face.key), key=lambda ef: ef.kind == BOTTOM)
         omitted = [
             ef for ef in efs if ef.kind == step.omit_kind and ef.at == step.omit_at
         ]
@@ -60,7 +65,7 @@ def replay_certificate(cert: Certificate) -> Verdict:
                     i,
                     f"horn incomplete: face {ef.kind}({ef.at}) of {step.face} missing",
                 )
-        for ef in all_elementary_faces(omit.domain):
+        for ef in poset.faces_of(omit.domain.key):
             if ef.domain.key not in current:
                 return Verdict(
                     False,
@@ -69,7 +74,7 @@ def replay_certificate(cert: Certificate) -> Verdict:
                 )
         current.add(face.key)
         current.add(omit.domain.key)
-    if current != set(universe):
+    if current != keys:
         return Verdict(False, None, "final complex is not the full complex")
     expected = class_of_steps(cert.steps)
     if cert.class_tag != expected:

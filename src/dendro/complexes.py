@@ -9,7 +9,6 @@ union of representables a genuine union.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Iterable, Union
 
@@ -27,7 +26,6 @@ class TensorAmbient:
         self.t_tree = t_tree
         self.poset: PercolationPoset = enumerate_shuffles(s_tree, t_tree)
         self._universe: dict[FaceKey, Face] | None = None
-        self._lock = threading.Lock()
 
     @property
     def ident(self) -> tuple[str, str]:
@@ -38,13 +36,12 @@ class TensorAmbient:
 
     @property
     def universe(self) -> dict[FaceKey, Face]:
-        with self._lock:
-            if self._universe is None:
-                table: dict[FaceKey, Face] = {}
-                for sh in self.poset:
-                    for f in self.sub(sh):
-                        table.setdefault(f.key, f)
-                self._universe = table
+        if self._universe is None:
+            table: dict[FaceKey, Face] = {}
+            for sh in self.poset:
+                for f in self.sub(sh):
+                    table.setdefault(f.key, f)
+            self._universe = table
         return self._universe
 
     def __repr__(self) -> str:
@@ -117,11 +114,9 @@ class FaceComplex:
         return sorted(m.key for m in maximal)
 
     def is_closed(self) -> bool:
-        from .faces import all_elementary_faces
-
         table = _universe_of(self.ambient)
         for k in self.members:
-            for ef in all_elementary_faces(table[k]):
+            for ef in enumerate_sub(table[k].ambient).faces_of(k):
                 if ef.domain.key not in self.members:
                     return False
         return True
@@ -140,9 +135,8 @@ def _face_leq(a: Face, b: Face) -> bool:
 
 
 def closure(ambient: Ambient, faces: Iterable[Face]) -> FaceComplex:
-    """The smallest complex containing the given faces."""
-    from .faces import all_elementary_faces
-
+    """The smallest complex containing the given faces; each face's
+    elementary faces are read from the poset of its ambient tree."""
     members: set[FaceKey] = set()
     queue = list(faces)
     while queue:
@@ -150,7 +144,7 @@ def closure(ambient: Ambient, faces: Iterable[Face]) -> FaceComplex:
         if f.key in members:
             continue
         members.add(f.key)
-        for ef in all_elementary_faces(f):
+        for ef in enumerate_sub(f.ambient).faces_of(f.key):
             if ef.domain.key not in members:
                 queue.append(ef.domain)
     return FaceComplex(ambient, frozenset(members))

@@ -15,7 +15,6 @@ Elementary face maps come in three kinds:
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -437,17 +436,13 @@ class SubPoset:
 
 
 _sub_cache: dict[Tree, SubPoset] = {}
-_sub_lock = threading.Lock()
 
 
 def enumerate_sub(ambient: Tree) -> SubPoset:
     """The poset of all faces of a tree (memoized per tree)."""
-    with _sub_lock:
-        poset = _sub_cache.get(ambient)
+    poset = _sub_cache.get(ambient)
     if poset is None:
-        poset = SubPoset(ambient)
-        with _sub_lock:
-            _sub_cache.setdefault(ambient, poset)
+        poset = _sub_cache.setdefault(ambient, SubPoset(ambient))
     return poset
 
 

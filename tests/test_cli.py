@@ -153,3 +153,35 @@ class TestDeepTrees:
         assert run(["parse", "--t", text]) == 0
         out, _ = capture(capsys)
         assert json.loads(out)["canonical"] == text
+
+
+class TestFacesOutsideTheAmbient:
+    """A face outside the ambient is a rejection (exit 1), whether it is
+    given in the base or as a step."""
+
+    FOREIGN = {"edges": ["zz"], "caps": []}
+
+    def verify_mangled(self, capsys, tmp_path, mangle):
+        path = tmp_path / "cert.json"
+        assert run(["segal-cert", "--t", "a[b[c]]", "--out", str(path)]) == 0
+        data = json.loads(path.read_text())
+        mangle(data)
+        path.write_text(json.dumps(data))
+        capture(capsys)
+        code = run(["verify", str(path)])
+        return code, capture(capsys)[1]
+
+    def test_base_face_rejected(self, capsys, tmp_path):
+        code, err = self.verify_mangled(
+            capsys, tmp_path, lambda data: data["base"].append(self.FOREIGN)
+        )
+        assert code == 1
+        assert err == "rejected: base contains keys outside the ambient\n"
+
+    def test_step_face_rejected(self, capsys, tmp_path):
+        step = {"face": self.FOREIGN, "omit": {"kind": "inner", "at": "b"}, "batch": [0, 1, 1]}
+        code, err = self.verify_mangled(
+            capsys, tmp_path, lambda data: data["steps"].insert(0, step)
+        )
+        assert code == 1
+        assert err.startswith("rejected at step 0: step face (('zz',), ()) is not an ambient face")
