@@ -152,7 +152,13 @@ class AxiomReport:
 
 
 def check_axioms(es: ExtensionSet) -> AxiomReport:
-    """Evaluate the five extension-set axioms literally, with witnesses."""
+    """Evaluate the five extension-set axioms, with witnesses.
+
+    F3 visits only the squares that can hold a member: those whose top is
+    a member's codomain or lies one extension above one.  F4 checks each
+    ``(low, join)`` interval once, reading it as the mask
+    ``down[join] & up[low]`` of the ambient face poset.
+    """
     failures: dict[str, list[str]] = {ax: [] for ax in AXIOMS}
     poset = es.poset
 
@@ -190,8 +196,16 @@ def check_axioms(es: ExtensionSet) -> AxiomReport:
             if len(bad) > 1:
                 failures["F2"].append(f"{g!r} has bad partners {bad!r}")
 
-    # F3: two-out-of-four closure on commuting squares.
-    for p in poset.faces_in(es.view):
+    # F3: two-out-of-four closure on commuting squares.  A square holding
+    # no member cannot fail, so its top is a member's codomain or the
+    # codomain of an extension of one.
+    index = poset.index
+    tops = 0
+    for m in es.members:
+        tops |= 1 << index[m.codomain_key]
+        for ext in poset.extensions_of(m.codomain_key):
+            tops |= 1 << index[ext.codomain_key]
+    for p in poset.faces_in(tops & es.view):
         if p.rank < 2:
             continue
         ff = poset.faces_of(p.key)
@@ -199,70 +213,20 @@ def check_axioms(es: ExtensionSet) -> AxiomReport:
             for g in ff[i + 1 :]:
                 if classify_pair(f, g, mode="faces") == MIXED:
                     continue
-                corner = None
-                for ef in poset.faces_of(f.domain.key):
-                    if ef.kind == g.kind and ef.at == g.at:
-                        corner = ef
-                        break
-                if corner is None:
+                g_low = poset.face_map(f.domain.key, g.kind, g.at)
+                if g_low is None:
                     continue
-                g_low = corner
-                f_low = next(
-                    (
-                        ef
-                        for ef in poset.faces_of(g.domain.key)
-                        if ef.domain.key == corner.domain.key
-                        and ef.kind == f.kind
-                        and ef.at == f.at
-                    ),
-                    None,
-                )
-                if f_low is None:
+                f_low = poset.face_map(g.domain.key, f.kind, f.at)
+                if f_low is None or f_low.domain.key != g_low.domain.key:
                     continue
-                square = {"f": (f_low, f), "g": (g_low, g)}
-                got_f = [m for m in square["f"] if es.contains_map(m)]
-                got_g = [m for m in square["g"] if es.contains_map(m)]
-                if got_f and got_g:
-                    missing = [
-                        m
-                        for m in square["f"] + square["g"]
-                        if not es.contains_map(m)
-                    ]
-                    if missing:
-                        failures["F3"].append(
-                            f"square at {p!r} not closed: missing {missing[0]!r}"
-                        )
+                square = (f_low, f, g_low, g)
+                got = [es.contains_map(m) for m in square]
+                if (got[0] or got[1]) and (got[2] or got[3]) and not all(got):
+                    missing = square[got.index(False)]
+                    failures["F3"].append(f"square at {p!r} not closed: missing {missing!r}")
 
     # F4: extension sequences up to joins stay inside the set.
-    join_cache: dict[tuple[FaceKey, FaceKey], Face] = {}
-    for f in sorted(es.members, key=_sig):
-        p = f.domain
-        for g in es.extensions_of(p.key):
-            if _sig(g) == _sig(f):
-                continue
-            pair = tuple(sorted((f.codomain_key, g.codomain_key)))
-            join = join_cache.get(pair)
-            if join is None:
-                mins = poset.minimal_upper_bounds(f.codomain, g.codomain, es.view)
-                if len(mins) != 1:
-                    failures["F4"].append(f"non-unique join over {p!r}")
-                    continue
-                join = join_cache.setdefault(pair, mins[0])
-            low = g.codomain_key
-            interval = poset.downset_mask(join.key) & poset.upset_mask(low)
-            for x in poset.faces_in(interval):
-                for step in poset.faces_of(x.key):
-                    if poset.leq(low, step.domain.key) and not es.contains_map(step):
-                        failures["F4"].append(
-                            f"interval map {step!r} outside the set (join of "
-                            f"{f!r} and {g!r})"
-                        )
-                if failures["F4"]:
-                    break
-            if failures["F4"]:
-                break
-        if failures["F4"]:
-            break
+    failures["F4"] = _join_interval_failures(es)
 
     # F5: every missing face has a face or an extension in the set.
     for p in es.missing:
@@ -270,6 +234,55 @@ def check_axioms(es: ExtensionSet) -> AxiomReport:
             failures["F5"].append(f"isolated missing face {p!r}")
 
     return AxiomReport(failures)
+
+
+def _join_interval_failures(es: ExtensionSet) -> list[str]:
+    """F4: for each member ``f`` and other in-view extension ``g`` of its
+    domain, the two codomains have a unique join in the view, and every
+    elementary face map inside the interval from ``g``'s codomain up to
+    that join is a member.  The witnesses are the maps of the first
+    failing interval, or the non-unique joins of the first member that
+    has one (up to its next unique join, which ends the check)."""
+    poset = es.poset
+    index = poset.index
+    out: list[str] = []
+    clean: set[tuple[int, int]] = set()
+    # per face x: the domains of the maps into x that are not members
+    outside: dict[int, int] = {}
+    for f in sorted(es.members, key=_sig):
+        sig = _sig(f)
+        for g in es.extensions_of(f.domain.key):
+            if _sig(g) == sig:
+                continue
+            join = poset.unique_join(f.codomain_key, g.codomain_key, es.view)
+            if join is None:
+                out.append(f"non-unique join over {f.domain!r}")
+                continue
+            if out:
+                return out
+            low, j = index[g.codomain_key], index[join.key]
+            if (low, j) in clean:
+                continue
+            up_low = poset.upset_mask(g.codomain_key)
+            interval = poset.downset_mask(join.key) & up_low
+            while interval:
+                x = (interval & -interval).bit_length() - 1
+                interval &= interval - 1
+                if x not in outside:
+                    outside[x] = 0
+                    for step in poset.faces_of(poset.faces[x].key):
+                        if not es.contains_map(step):
+                            outside[x] |= 1 << index[step.domain.key]
+                if outside[x] & up_low:
+                    return [
+                        f"interval map {step!r} outside the set (join of {f!r} and {g!r})"
+                        for step in poset.faces_of(poset.faces[x].key)
+                        if up_low >> index[step.domain.key] & 1 and not es.contains_map(step)
+                    ]
+            clean.add((low, j))
+        if out:
+            return out
+    return out
 
 
 def canonical_extensions(
@@ -425,14 +438,7 @@ def _assert_descent(es, pairs, canonical_keys):
             dg = g.domain
             if not es.is_missing(dg.key):
                 continue
-            transported = next(
-                (
-                    x
-                    for x in poset.faces_of(dg.key)
-                    if x.kind == ef.kind and x.at == ef.at
-                ),
-                None,
-            )
+            transported = poset.face_map(dg.key, ef.kind, ef.at)
             if (
                 transported is not None
                 and es.contains_map(transported)

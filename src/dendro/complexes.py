@@ -104,14 +104,17 @@ class FaceComplex:
         return out
 
     def maximal_members(self) -> list[FaceKey]:
-        """Members not properly contained in another member."""
-        faces = [_universe_of(self.ambient)[k] for k in self.members]
+        """Members not properly contained in another member.  A key outside
+        the ambient (a loaded base may hold one) lies below no face, so it
+        is maximal and kept verbatim."""
+        table = _universe_of(self.ambient)
+        faces = [table[k] for k in self.members if k in table]
         by_rank = sorted(faces, key=lambda f: (-f.rank, f.key))
         maximal: list[Face] = []
         for f in by_rank:
             if not any(_face_leq(f, m) for m in maximal):
                 maximal.append(f)
-        return sorted(m.key for m in maximal)
+        return sorted([m.key for m in maximal] + [k for k in self.members if k not in table])
 
     def is_closed(self) -> bool:
         table = _universe_of(self.ambient)

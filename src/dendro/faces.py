@@ -434,6 +434,29 @@ class SubPoset:
         ub = self.upset_mask(a) & self.upset_mask(b) & within
         return [f for f in self.faces_in(ub) if (self.downset_mask(f) & ub).bit_count() == 1]
 
+    def unique_join(
+        self, a: Face | FaceKey, b: Face | FaceKey, within: int = -1
+    ) -> Face | None:
+        """The unique minimal common upper bound of ``a`` and ``b`` among
+        the faces in ``within``, or ``None`` if there is none or several.
+
+        Faces are indexed by rank, so the lowest upper bound is minimal; it
+        is the only minimal one exactly when every upper bound lies above it.
+        """
+        ub = self.upset_mask(a) & self.upset_mask(b) & within
+        i = (ub & -ub).bit_length() - 1
+        if i < 0 or ub & ~self._up[i]:
+            return None
+        return self.faces[i]
+
+    def face_map(self, p: Face | FaceKey, kind: str, at: str) -> ElementaryFace | None:
+        """The elementary face map ``kind(at)`` into ``p``, if ``p`` has one
+        (a face has at most one map per label)."""
+        for ef in self.faces_of(p):
+            if ef.kind == kind and ef.at == at:
+                return ef
+        return None
+
 
 _sub_cache: dict[Tree, SubPoset] = {}
 
@@ -504,13 +527,11 @@ def _is_adjacent(f: ElementaryFace, g: ElementaryFace) -> bool:
     pair admits no commuting square, i.e. the map labelled like ``f`` cannot
     be transported to a face of ``g``'s codomain."""
     poset = enumerate_sub(g.codomain.ambient)
-    for cand in poset.faces_of(g.codomain_key):
-        if cand.kind != f.kind or cand.at != f.at:
-            continue
-        for back in poset.faces_of(cand.domain.key):
-            if back.kind == g.kind and back.at == g.at and back.domain.key == f.domain.key:
-                return False
-    return True
+    cand = poset.face_map(g.codomain_key, f.kind, f.at)
+    if cand is None:
+        return True
+    back = poset.face_map(cand.domain.key, g.kind, g.at)
+    return back is None or back.domain.key != f.domain.key
 
 
 def commute_square(
@@ -550,12 +571,12 @@ def join_faces(
     if f.domain.key != p.key or g.domain.key != p.key:
         raise FaceError("both maps must be extensions of p")
     poset = enumerate_sub(p.ambient)
-    mins = poset.minimal_upper_bounds(f.codomain, g.codomain)
-    if len(mins) != 1:
+    join = poset.unique_join(f.codomain, g.codomain)
+    if join is None:
+        mins = poset.minimal_upper_bounds(f.codomain, g.codomain)
         raise FaceError(
             f"expected a unique minimal common extension, found {len(mins)}"
         )
-    join = mins[0]
     return join, _chain_up(poset, f.codomain, join), _chain_up(poset, g.codomain, join)
 
 

@@ -432,28 +432,34 @@ def _shape_key(shape):
 
 
 def _shapes_exact(v: int, max_arity: int, cache: dict) -> list:
+    """The shapes with exactly ``v`` vertices, sorted by ``_shape_key``: a
+    vertex over at most ``max_arity`` children whose vertex counts sum to
+    ``v - 1``, each multiset of children built once by splitting that count."""
     if v in cache:
         return cache[v]
     if v == 0:
         cache[0] = [None]
         return cache[0]
-    pool = []
-    for w in range(v):
-        pool.extend(_shapes_exact(w, max_arity, cache))
-    found = set()
-    for k in range(0, max_arity + 1):
-        for combo in itertools.combinations_with_replacement(pool, k):
-            if sum(_shape_vertices(c) for c in combo) == v - 1:
-                found.add(tuple(sorted(combo, key=_shape_key)))
-    out = sorted(found, key=_shape_key)
-    cache[v] = out
-    return out
+    # (vertices, shape), by vertex count; children are taken in pool order
+    pool = [(w, s) for w in range(v) for s in _shapes_exact(w, max_arity, cache)]
+    found = []
 
+    def split(start: int, budget: int, slots: int, children: tuple) -> None:
+        if budget == 0:
+            found.append(tuple(sorted(children, key=_shape_key)))
+        if slots == 0:
+            return
+        for i in range(start, len(pool)):
+            w, s = pool[i]
+            if w > budget:
+                break
+            # the last slot must take the whole remaining count
+            if slots > 1 or w == budget:
+                split(i, budget - w, slots - 1, children + (s,))
 
-def _shape_vertices(shape) -> int:
-    if shape is None:
-        return 0
-    return 1 + sum(_shape_vertices(c) for c in shape)
+    split(0, v - 1, max_arity, ())
+    cache[v] = sorted(found, key=_shape_key)
+    return cache[v]
 
 
 def _shape_to_tree(shape) -> PlanarTree:

@@ -12,7 +12,13 @@ from dendro.anodyne import (
     inner_extension_set,
     segal_certificate,
 )
-from dendro.complexes import boundary_complex, full_complex, horn_complex, segal_core
+from dendro.complexes import (
+    boundary_complex,
+    empty_complex,
+    full_complex,
+    horn_complex,
+    segal_core,
+)
 from dendro.faces import INNER, TOP, enumerate_sub, full_face, make_key
 from dendro.order import edge_order
 from dendro.trees import parse_tree, tree, tree_catalog
@@ -68,6 +74,38 @@ class TestAxioms:
         es = ExtensionSet(t, segal_core(t), [])
         report = check_axioms(es)
         assert not report.passed("F5")
+
+    def test_f2_witness_names_extension(self):
+        # two sibling tops out of Face(a) make a third one bad with both
+        t = tree("a[b[c[d]]]")
+        sub = enumerate_sub(t)
+        ab, ac, ad = (sub.face_map(make_key(k, ()), TOP, "a") for k in ("ab", "ac", "ad"))
+        report = check_axioms(ExtensionSet(t, empty_complex(t), [ab, ac]))
+        assert not report.passed("F2")
+        assert report.failures["F2"][0] == f"{ad!r} has bad partners {[ab, ac]!r}"
+
+    def test_f3_witness_names_missing_side(self):
+        # inner(b) into Face(a,b,c) and top(c) out of it, but not inner(b)
+        # into Face(a,b,c,d): the square at the full face is open
+        t = tree("a[b[c[d]]]")
+        sub = enumerate_sub(t)
+        low = sub.face_map(make_key("abc", ()), INNER, "b")
+        high = sub.face_map(make_key("abcd", ()), TOP, "c")
+        report = check_axioms(ExtensionSet(t, segal_core(t), [low, high]))
+        assert not report.passed("F3")
+        missing = sub.face_map(make_key("abcd", ()), INNER, "b")
+        assert report.failures["F3"][0].endswith(f"not closed: missing {missing!r}")
+
+    def test_f4_witness_names_interval_map(self):
+        # inner(b) out of Face(a,c) alone: the interval from Face(a,c,d) up
+        # to the join, the full face, needs inner(b) into the full face
+        t = tree("a[b[c[d]]]")
+        sub = enumerate_sub(t)
+        member = sub.face_map(make_key("abc", ()), INNER, "b")
+        report = check_axioms(ExtensionSet(t, segal_core(t), [member]))
+        assert not report.passed("F4")
+        outside = sub.face_map(make_key("abcd", ()), INNER, "b")
+        assert report.failures["F4"][0].startswith(f"interval map {outside!r} outside the set")
 
     def test_f5_witness_names_face(self):
         t = tree("a[b[c]]")

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from dendro.anodyne import Certificate
 from dendro.cli import run
 
 
@@ -185,3 +186,15 @@ class TestFacesOutsideTheAmbient:
         )
         assert code == 1
         assert err.startswith("rejected at step 0: step face (('zz',), ()) is not an ambient face")
+
+    def test_base_face_survives_a_dump(self, capsys, tmp_path):
+        def round_trip(data):
+            data["base"].append(self.FOREIGN)
+            dumped = json.loads(Certificate.loads(json.dumps(data)).dumps())
+            assert self.FOREIGN in dumped["base"]
+            data.clear()
+            data.update(dumped)
+
+        code, err = self.verify_mangled(capsys, tmp_path, round_trip)
+        assert code == 1
+        assert err == "rejected: base contains keys outside the ambient\n"

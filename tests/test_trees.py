@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from dendro import trees
 from dendro.trees import (
     Operation,
     Tree,
@@ -202,7 +203,44 @@ class TestOperationVertices:
             operation_vertices(t, Operation.of(["x"], "r"))
 
 
+def reference_shapes_exact(v, max_arity, cache):
+    """The catalog's shapes as they were first enumerated: every multiset of
+    smaller shapes, kept when its vertex counts sum to ``v - 1``."""
+    if v in cache:
+        return cache[v]
+    if v == 0:
+        cache[0] = [None]
+        return cache[0]
+    pool = []
+    for w in range(v):
+        pool.extend(reference_shapes_exact(w, max_arity, cache))
+
+    def vertices(shape):
+        return 0 if shape is None else 1 + sum(vertices(c) for c in shape)
+
+    found = set()
+    for k in range(0, max_arity + 1):
+        for combo in itertools.combinations_with_replacement(pool, k):
+            if sum(vertices(c) for c in combo) == v - 1:
+                found.add(tuple(sorted(combo, key=trees._shape_key)))
+    cache[v] = sorted(found, key=trees._shape_key)
+    return cache[v]
+
+
 class TestCatalog:
+    @pytest.mark.parametrize("max_v, max_a", [(4, 3), (3, 4), (5, 2)])
+    def test_same_trees_in_the_same_order_as_reference(self, max_v, max_a):
+        cache = {}
+        want = [
+            render_tree(trees._shape_to_tree(shape))
+            for v in range(max_v + 1)
+            for shape in reference_shapes_exact(v, max_a, cache)
+        ]
+        assert [render_tree(pt) for pt in tree_catalog(max_v, max_a)] == want
+
+    def test_five_vertices_arity_three(self):
+        assert sum(1 for _ in tree_catalog(5, 3)) == 1933
+
     def test_zero_vertices(self):
         got = list(tree_catalog(0, 5))
         assert len(got) == 1
