@@ -71,6 +71,15 @@ def cmd_faces(args) -> int:
     return 0
 
 
+def _write_shuffles_dot(poset, args) -> None:
+    """The percolation poset with ``--poset``, else one graph per shuffle."""
+    if args.poset:
+        _write(dot.poset_dot(poset), args.out)
+    else:
+        graphs = (dot.shuffle_dot(sh, name=f"R{i + 1}") for i, sh in enumerate(poset))
+        _write("\n".join(graphs), args.out)
+
+
 def cmd_shuffles(args) -> int:
     s, t = parse_tree(args.s), parse_tree(args.t)
     poset = enumerate_shuffles(s, t)
@@ -78,16 +87,7 @@ def cmd_shuffles(args) -> int:
         _write(str(len(poset)), args.out)
         return 0
     if args.format == "dot":
-        if args.poset:
-            _write(dot.poset_dot(poset), args.out)
-        else:
-            _write(
-                "\n".join(
-                    dot.shuffle_dot(sh, name=f"R{i + 1}")
-                    for i, sh in enumerate(poset)
-                ),
-                args.out,
-            )
+        _write_shuffles_dot(poset, args)
         return 0
     data = {
         "count": len(poset),
@@ -136,17 +136,7 @@ def cmd_verify(args) -> int:
 
 def cmd_dot(args) -> int:
     if args.s:
-        s, t = parse_tree(args.s), parse_tree(args.t)
-        poset = enumerate_shuffles(s, t)
-        if args.poset:
-            _write(dot.poset_dot(poset), args.out)
-        else:
-            _write(
-                "\n".join(
-                    dot.shuffle_dot(sh, name=f"R{i + 1}") for i, sh in enumerate(poset)
-                ),
-                args.out,
-            )
+        _write_shuffles_dot(enumerate_shuffles(parse_tree(args.s), parse_tree(args.t)), args)
     else:
         _write(dot.tree_dot(parse_tree(args.t)), args.out)
     return 0

@@ -124,12 +124,6 @@ class FaceComplex:
                     return False
         return True
 
-    def to_json(self) -> dict:
-        return {
-            "ambient": ambient_to_json(self.ambient),
-            "maximal": [key_to_json(k) for k in self.maximal_members()],
-        }
-
 
 def _face_leq(a: Face, b: Face) -> bool:
     """a <= b in the face order, read from the poset of b's ambient tree."""
@@ -138,19 +132,15 @@ def _face_leq(a: Face, b: Face) -> bool:
 
 
 def closure(ambient: Ambient, faces: Iterable[Face]) -> FaceComplex:
-    """The smallest complex containing the given faces; each face's
-    elementary faces are read from the poset of its ambient tree."""
-    members: set[FaceKey] = set()
-    queue = list(faces)
-    while queue:
-        f = queue.pop()
-        if f.key in members:
-            continue
-        members.add(f.key)
-        for ef in enumerate_sub(f.ambient).faces_of(f.key):
-            if ef.domain.key not in members:
-                queue.append(ef.domain)
-    return FaceComplex(ambient, frozenset(members))
+    """The smallest complex containing the given faces: the OR of their
+    downset masks in the poset of each ambient tree, read back once."""
+    masks: dict[Tree, int] = {}
+    for f in faces:
+        masks[f.ambient] = masks.get(f.ambient, 0) | enumerate_sub(f.ambient).downset_mask(f.key)
+    members = frozenset(
+        f.key for tree, mask in masks.items() for f in enumerate_sub(tree).faces_in(mask)
+    )
+    return FaceComplex(ambient, members)
 
 
 def empty_complex(ambient: Ambient) -> FaceComplex:
@@ -163,24 +153,17 @@ def full_complex(ambient: Ambient) -> FaceComplex:
 
 def boundary_complex(t: Tree) -> FaceComplex:
     """Union of the closures of all codimension-one faces."""
-    from .faces import all_elementary_faces
-
-    top = full_face(t)
-    if top.rank == 0:
+    poset = enumerate_sub(t)
+    if poset.top.rank == 0:
         raise FaceError("the boundary needs a tree with at least one vertex")
-    return closure(t, [ef.domain for ef in all_elementary_faces(top)])
+    return closure(t, [ef.domain for ef in poset.faces_of(poset.top)])
 
 
 def horn_complex(t: Tree, omit: ElementaryFace | tuple[str, str]) -> FaceComplex:
     """Union of the closures of all codimension-one faces except one."""
-    from .faces import all_elementary_faces
-
-    top = full_face(t)
-    if isinstance(omit, ElementaryFace):
-        site = (omit.kind, omit.at)
-    else:
-        site = omit
-    efs = all_elementary_faces(top)
+    site = (omit.kind, omit.at) if isinstance(omit, ElementaryFace) else omit
+    poset = enumerate_sub(t)
+    efs = poset.faces_of(poset.top)
     if site not in {(ef.kind, ef.at) for ef in efs}:
         raise FaceError(f"{site} is not an elementary face of the tree")
     return closure(t, [ef.domain for ef in efs if (ef.kind, ef.at) != site])

@@ -16,7 +16,7 @@ def _quote(s: str) -> str:
     return '"' + s.replace('"', '\\"') + '"'
 
 
-def _emit_tree(out, tree: Tree, kids, node_id, colour=None, highlight=frozenset(), missing=frozenset()):
+def _emit_tree(out, tree: Tree, colour=None, highlight=frozenset(), missing=frozenset()):
     def vertex_style(e):
         if colour is None:
             return "shape=point, width=0.12"
@@ -24,15 +24,15 @@ def _emit_tree(out, tree: Tree, kids, node_id, colour=None, highlight=frozenset(
         fill = "white" if c == "white" else "black"
         return f"shape=circle, width=0.18, label=\"\", style=filled, fillcolor={fill}"
 
-    root_tip = node_id("tip_root")
+    root_tip = _quote("tip_root")
     out.append(f"  {root_tip} [shape=none, label=\"\"];")
     for e in sorted(tree.edges):
-        lower = node_id("tip_root") if e == tree.root else node_id("v_" + tree.parent[e])
+        lower = root_tip if e == tree.root else _quote("v_" + tree.parent[e])
         if tree.is_leaf(e):
-            upper = node_id("tip_" + e)
+            upper = _quote("tip_" + e)
             out.append(f"  {upper} [shape=none, label=\"\"];")
         else:
-            upper = node_id("v_" + e)
+            upper = _quote("v_" + e)
             out.append(f"  {upper} [{vertex_style(e)}];")
         style = ""
         if e in highlight:
@@ -45,7 +45,7 @@ def _emit_tree(out, tree: Tree, kids, node_id, colour=None, highlight=frozenset(
 def tree_dot(t: Tree | PlanarTree, name: str = "tree") -> str:
     tree = t.tree if isinstance(t, PlanarTree) else t
     out = [f"graph {_quote(name)} {{", "  rankdir=BT;"]
-    _emit_tree(out, tree, None, lambda s: _quote(s))
+    _emit_tree(out, tree)
     out.append("}")
     return "\n".join(out)
 
@@ -53,7 +53,7 @@ def tree_dot(t: Tree | PlanarTree, name: str = "tree") -> str:
 def shuffle_dot(sh: Shuffle, name: str = "shuffle") -> str:
     tree = sh.tree.tree
     out = [f"graph {_quote(name)} {{", "  rankdir=BT;"]
-    _emit_tree(out, tree, None, lambda s: _quote(s), colour=sh.vertex_colour)
+    _emit_tree(out, tree, colour=sh.vertex_colour)
     out.append("}")
     return "\n".join(out)
 
@@ -65,14 +65,14 @@ def face_dot(face: Face, name: str = "face") -> str:
     out = [f"graph {_quote(name)} {{", "  rankdir=BT;"]
     present = frozenset(face.edges)
     absent = frozenset(tree.edges) - present
-    _emit_tree(out, tree, None, lambda s: _quote(s), highlight=present, missing=absent)
+    _emit_tree(out, tree, highlight=present, missing=absent)
     out.append("}")
     return "\n".join(out)
 
 
 def poset_dot(poset: PercolationPoset, name: str = "percolation") -> str:
     out = [f"digraph {_quote(name)} {{", "  rankdir=BT;"]
-    for i, sh in enumerate(poset.shuffles):
+    for i in range(len(poset.shuffles)):
         label = f"R{i + 1}"
         out.append(f"  n{i} [shape=box, label={_quote(label)}];")
     for a, b in poset.covers:

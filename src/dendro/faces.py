@@ -107,9 +107,6 @@ class Face:
         """The face as a standalone tree with the same edge names."""
         return Tree(self.edges, self.parent, self.leaves)
 
-    def to_json(self) -> dict:
-        return {"edges": list(self.key[0]), "caps": list(self.key[1])}
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Face):
             return NotImplemented
@@ -125,10 +122,6 @@ class Face:
 
 def full_face(ambient: Tree) -> Face:
     return Face(ambient, ambient.edges, ambient.stump_outputs)
-
-
-def face_from_key(ambient: Tree, key: FaceKey) -> Face:
-    return Face(ambient, key[0], key[1])
 
 
 @dataclass(frozen=True)
@@ -163,69 +156,58 @@ class ElementaryFace:
         return f"{self.kind}({self.at}): {self.domain!r} -> {self.codomain!r}"
 
 
+def _elementary_domains(p: Face) -> list[tuple[str, str, frozenset[str], frozenset[str]]]:
+    """The one rule for elementary faces: ``(kind, at, edges, caps)`` of the
+    domain of every elementary face map into ``p``, inner first, then top,
+    then bottom, each sorted by ``at``.
+
+    Every inner edge contributes a contraction (a contracted cap moves its
+    stump down to a parent left without inputs), every top vertex and every
+    cap a top face, and the root vertex one bottom face per admissible kept
+    input: every input of a corolla, else the unique non-leaf input when all
+    other inputs are leaves.
+    """
+    edges, caps, children, leaves = p.edges, p.caps, p.children, p.leaves
+    out = []
+    for e in sorted(p.inner_edges):
+        low = caps
+        if e in caps:
+            low = caps - {e}
+            if children[p.parent[e]] == (e,):
+                low = low | {p.parent[e]}
+        out.append((INNER, e, edges - {e}, low))
+    for e in sorted(edges):
+        if e in caps:
+            out.append((TOP, e, edges, caps - {e}))
+        elif children[e] and leaves.issuperset(children[e]):
+            out.append((TOP, e, edges.difference(children[e]), caps))
+    root_inputs = children[p.root]
+    if p.is_corolla():
+        out.extend((BOTTOM, e, frozenset((e,)), frozenset()) for e in root_inputs)
+    else:
+        non_leaf = [e for e in root_inputs if e not in leaves]
+        if len(non_leaf) == 1:
+            at = non_leaf[0]
+            kept = frozenset(e for e in edges if p.ambient.leq(at, e))
+            out.append((BOTTOM, at, kept, caps & kept))
+    return out
+
+
 def apply_elementary_face(p: Face, kind: str, at: str) -> Face:
     """The codimension-one face of ``p`` obtained by the given map."""
-    if kind == INNER:
-        if at not in p.inner_edges:
-            raise FaceError(f"{at!r} is not an inner edge of the face")
-        edges = p.edges - {at}
-        caps = p.caps
-        if at in caps:
-            caps = caps - {at}
-            par = p.parent[at]
-            if p.children[par] == (at,):
-                caps = caps | {par}
-        return Face(p.ambient, edges, caps)
-    if kind == TOP:
-        if at in p.caps:
-            return Face(p.ambient, p.edges, p.caps - {at})
-        if at in p.leaves or at not in p.edges:
-            raise FaceError(f"{at!r} carries no vertex in the face")
-        inputs = set(p.children[at])
-        if not inputs <= p.leaves:
-            raise FaceError(f"vertex over {at!r} is not a top vertex")
-        return Face(p.ambient, p.edges - inputs, p.caps)
-    if kind == BOTTOM:
-        if at not in p.children.get(p.root, ()):
-            raise FaceError(f"{at!r} is not an input of the root vertex")
-        if p.is_corolla():
-            return Face(p.ambient, {at}, ())
-        others = set(p.children[p.root]) - {at}
-        if not others <= p.leaves:
-            raise FaceError("all other inputs of the root vertex must be leaves")
-        if at in p.leaves:
-            raise FaceError("kept input must be the unique non-leaf input")
-        kept = {e for e in p.edges if p.ambient.leq(at, e)}
-        return Face(p.ambient, kept, p.caps & kept)
-    raise FaceError(f"unknown face kind {kind!r}")
+    for k, a, edges, caps in _elementary_domains(p):
+        if k == kind and a == at:
+            return Face(p.ambient, edges, caps)
+    raise FaceError(f"{p!r} has no elementary face {kind}({at})")
 
 
 def all_elementary_faces(p: Face) -> list[ElementaryFace]:
-    """All elementary face maps into ``p``, in a deterministic order.
-
-    Every inner edge contributes a contraction, every top vertex and every
-    cap a top face, and the root vertex one bottom face per admissible kept
-    input (all inputs, for a corolla).
-    """
-    out: list[ElementaryFace] = []
-    for e in sorted(p.inner_edges):
-        out.append(ElementaryFace(INNER, e, apply_elementary_face(p, INNER, e), p))
-    tops = set(p.caps)
-    for e in p.edges:
-        if p.children[e] and set(p.children[e]) <= p.leaves:
-            tops.add(e)
-    for e in sorted(tops):
-        out.append(ElementaryFace(TOP, e, apply_elementary_face(p, TOP, e), p))
-    root_inputs = p.children.get(p.root, ())
-    if root_inputs:
-        if p.is_corolla():
-            kept = list(root_inputs)
-        else:
-            non_leaf = [e for e in root_inputs if e not in p.leaves]
-            kept = non_leaf if len(non_leaf) == 1 else []
-        for e in sorted(kept):
-            out.append(ElementaryFace(BOTTOM, e, apply_elementary_face(p, BOTTOM, e), p))
-    return out
+    """All elementary face maps into ``p``, in the order of
+    :func:`_elementary_domains`."""
+    return [
+        ElementaryFace(kind, at, Face(p.ambient, edges, caps), p)
+        for kind, at, edges, caps in _elementary_domains(p)
+    ]
 
 
 def valid_face_key(ambient: Tree, edges: Iterable[str], caps: Iterable[str]) -> bool:
@@ -340,10 +322,12 @@ def all_valid_face_keys(ambient: Tree) -> set[FaceKey]:
 class SubPoset:
     """``Sub(T)``: all faces of a tree, graded by rank, with cover maps.
 
-    Built as the closure of the full face under elementary face maps.
-    Provides downset/upset bitmasks for fast order queries.  The faces of
-    a face ``F`` are the faces below ``F`` here, with the same keys, so a
-    set over ``F`` is the downset view ``downset_mask(F)`` of this poset.
+    Built as the closure of the full face under the one elementary-face
+    rule, :func:`_elementary_domains`: each face is built once, and every
+    cover's ``domain`` is the poset's own :class:`Face`.  Provides
+    downset/upset bitmasks for fast order queries.  The faces of a face
+    ``F`` are the faces below ``F`` here, with the same keys, so a set over
+    ``F`` is the downset view ``downset_mask(F)`` of this poset.
     """
 
     def __init__(self, ambient: Tree):
@@ -354,11 +338,13 @@ class SubPoset:
         queue = [top]
         while queue:
             p = queue.pop()
-            for ef in all_elementary_faces(p):
-                covers.append(ef)
-                if ef.domain.key not in by_key:
-                    by_key[ef.domain.key] = ef.domain
-                    queue.append(ef.domain)
+            for kind, at, edges, caps in _elementary_domains(p):
+                key = make_key(edges, caps)
+                domain = by_key.get(key)
+                if domain is None:
+                    domain = by_key[key] = Face(ambient, edges, caps)
+                    queue.append(domain)
+                covers.append(ElementaryFace(kind, at, domain, p))
         self.faces: list[Face] = sorted(by_key.values(), key=lambda f: (f.rank, f.key))
         self.index: dict[FaceKey, int] = {f.key: i for i, f in enumerate(self.faces)}
         self.top = top

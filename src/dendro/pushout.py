@@ -362,7 +362,7 @@ def certify_pp_stable(
     return _finish(ctx, base)
 
 
-def _top_colours(ctx: PPContext, sh: Shuffle, face: Face) -> frozenset[str]:
+def _top_colours(ctx: PPContext, face: Face) -> frozenset[str]:
     """The handover colours used by the white-root machinery.
 
     On open pairs this is the T-top of the essential face (maximal edges
@@ -402,7 +402,7 @@ def _fill_white_rooted(ctx: PPContext, sh: Shuffle, l1, leaf_inputs, rt) -> None
             continue
         whole = grafted(rp)
         contracted = apply_elementary_face(whole, INNER, l1_rt)
-        tc = _top_colours(ctx, sh, contracted)
+        tc = _top_colours(ctx, contracted)
         local = ctx.local_base(sub, contracted)
         es = white_root_extension_set(contracted, tc, local, ctx)
         ctx.run_filtration(es, ordr)
@@ -412,7 +412,7 @@ def _fill_white_rooted(ctx: PPContext, sh: Shuffle, l1, leaf_inputs, rt) -> None
         whole = grafted(rp)
         if whole.key in ctx.current:
             continue
-        tc = _top_colours(ctx, sh, whole)
+        tc = _top_colours(ctx, whole)
         if rp.key not in ctx.current:
             corolla_leaves = {pair_name(l, x) for l in leaf_inputs for x in tc}
             edges = {tr.root} | corolla_leaves | set(rp.edges)

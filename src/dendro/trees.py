@@ -100,11 +100,6 @@ class Tree:
         """Edges other than the root and the leaves (stump outputs included)."""
         return self.edges - self.leaves - {self.root}
 
-    @property
-    def vertex_outputs(self) -> tuple[str, ...]:
-        """Outputs of all vertices, in sorted order."""
-        return tuple(sorted(self.edges - self.leaves))
-
     def num_vertices(self) -> int:
         return len(self.edges) - len(self.leaves)
 
