@@ -117,17 +117,21 @@ class ExtensionSet:
         return self._exts_in.get(key, [])
 
 
-def inner_extension_set(ambient: Tree, base: FaceComplex) -> ExtensionSet:
-    """All inner face maps between missing faces (the Segal-core set)."""
-    poset = enumerate_sub(ambient)
-    members = [
+def missing_inner_covers(poset: SubPoset, base: FaceComplex) -> list[ElementaryFace]:
+    """The inner face maps of ``poset`` whose two ends are both missing
+    from ``base``; each inner extension set is a subset of these."""
+    return [
         ef
         for ef in poset.covers
         if ef.kind == INNER
         and not base.contains(ef.domain.key)
         and not base.contains(ef.codomain_key)
     ]
-    return ExtensionSet(ambient, base, members)
+
+
+def inner_extension_set(ambient: Tree, base: FaceComplex) -> ExtensionSet:
+    """All inner face maps between missing faces (the Segal-core set)."""
+    return ExtensionSet(ambient, base, missing_inner_covers(enumerate_sub(ambient), base))
 
 
 @dataclass

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .anodyne import Certificate, Step, class_of_steps
+from .anodyne import Certificate, class_of_steps
 from .complexes import _universe_of
 from .faces import BOTTOM, enumerate_sub
 
@@ -93,30 +93,10 @@ class Mutation:
 class MutationReport:
     mutations: list[Mutation]
 
-    @property
-    def passes_to_review(self) -> list[Mutation]:
-        """Mutations that replayed successfully and are not intra-batch
-        swaps: either a verifier completeness gap or a genuinely
-        reorderable pair of steps."""
-        return [m for m in self.mutations if m.verdict.accepted and not m.same_batch_swap]
-
 
 def _with_steps(cert: Certificate, steps) -> Certificate:
     steps = tuple(steps)
     return Certificate(cert.ambient, cert.base, class_of_steps(steps), steps)
-
-
-def _batch_runs(steps: tuple[Step, ...]) -> list[int]:
-    """Run index per step: consecutive equal batch labels form one batch."""
-    runs = []
-    run = -1
-    prev = None
-    for s in steps:
-        if s.batch != prev:
-            run += 1
-            prev = s.batch
-        runs.append(run)
-    return runs
 
 
 def mutate_and_check(cert: Certificate) -> MutationReport:
@@ -128,7 +108,6 @@ def mutate_and_check(cert: Certificate) -> MutationReport:
     if not base.accepted:
         raise ValueError(f"certificate must be accepted before mutating: {base.reason}")
     steps = cert.steps
-    runs = _batch_runs(steps)
     mutations: list[Mutation] = []
     for i in range(len(steps)):
         dropped = steps[:i] + steps[i + 1 :]
@@ -153,7 +132,7 @@ def mutate_and_check(cert: Certificate) -> MutationReport:
         mutations.append(
             Mutation(
                 f"swap steps {i},{i + 1}",
-                runs[i] == runs[i + 1],
+                steps[i].batch == steps[i + 1].batch,
                 replay_certificate(_with_steps(cert, swapped)),
             )
         )

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Union
 
-from .faces import ElementaryFace, Face, FaceError, FaceKey, SubPoset, enumerate_sub, full_face
+from .faces import ElementaryFace, Face, FaceError, FaceKey, SubPoset, enumerate_sub, make_key
 from .shuffles import PercolationPoset, Shuffle, enumerate_shuffles
 from .trees import PlanarTree, Tree, render_tree
 
@@ -172,16 +172,13 @@ def horn_complex(t: Tree, omit: ElementaryFace | tuple[str, str]) -> FaceComplex
 def segal_core(t: Tree) -> FaceComplex:
     """Union of the corolla faces, one per vertex (with its incident edges);
     the corolla of a stump is the capped unit."""
-    top = full_face(t)
-    if top.rank == 0:
+    poset = enumerate_sub(t)
+    if poset.top.rank == 0:
         raise FaceError("the Segal core needs a tree with at least one vertex")
     corollas = []
     for o in t.edges - t.leaves:
         inputs = t.vertex(o)
-        if inputs:
-            corollas.append(Face(t, {o} | set(inputs), ()))
-        else:
-            corollas.append(Face(t, {o}, {o}))
+        corollas.append(poset.face(make_key({o, *inputs}, () if inputs else (o,))))
     return closure(t, corollas)
 
 
@@ -222,4 +219,4 @@ def key_from_json(item: dict) -> FaceKey:
     edges, caps = json_field(item, "edges", list), json_field(item, "caps", list)
     if not all(isinstance(e, str) for e in edges + caps):
         raise MalformedCertificateError("face edges and caps must be strings")
-    return (tuple(sorted(edges)), tuple(sorted(caps)))
+    return make_key(edges, caps)

@@ -169,7 +169,7 @@ def _elementary_domains(p: Face) -> list[tuple[str, str, frozenset[str], frozens
     """
     edges, caps, children, leaves = p.edges, p.caps, p.children, p.leaves
     out = []
-    for e in sorted(p.inner_edges):
+    for e in sorted(edges - leaves - {p.root}):
         low = caps
         if e in caps:
             low = caps - {e}
@@ -382,7 +382,11 @@ class SubPoset:
         return key in self.index
 
     def face(self, key: FaceKey) -> Face:
-        return self.faces[self.index[key]]
+        """The poset's own face with this key; :class:`FaceError` if none."""
+        i = self.index.get(key)
+        if i is None:
+            raise FaceError(f"{key} is not a face of the tree")
+        return self.faces[i]
 
     def faces_of(self, p: Face | FaceKey) -> list[ElementaryFace]:
         """Elementary face maps into ``p``."""
@@ -499,13 +503,7 @@ def classify_pair(f: ElementaryFace, g: ElementaryFace, mode: str = "faces") -> 
 def _is_mixed(inner: ElementaryFace, outer: ElementaryFace) -> bool:
     """True for ``{inner(e), outer}`` with e the unique inner edge attached
     to the chopped outer vertex."""
-    if inner.kind != INNER:
-        return False
-    if outer.kind == TOP:
-        return outer.at == inner.at
-    if outer.kind == BOTTOM:
-        return outer.at == inner.at
-    return False
+    return inner.kind == INNER and outer.kind in (TOP, BOTTOM) and outer.at == inner.at
 
 
 def _is_adjacent(f: ElementaryFace, g: ElementaryFace) -> bool:

@@ -1,16 +1,23 @@
 """Pushout-product certificates over a tensor of two trees.
 
-Certifies that horn-tensor-boundary inclusions are anodyne by sweeping the
-shuffles in percolation order and emitting horn steps for each one:
+Certifies that horn-tensor-boundary inclusions are anodyne.  Both pipelines
+run one sweep: starting from the base, it visits the shuffles in
+percolation order (reversed for the inner horn), skips a shuffle whose
+faces are all present, and hands any other to the pipeline's fill step,
+which must exhaust it.  The sweep ends by checking that the full tensor
+complex is reached and by replaying the certificate.  The fill steps:
 
-* a black-rooted shuffle is filled by inner horns on root-coloured edges;
-* a white-rooted shuffle is filled in two sweeps over the faces hanging
-  over the distinguished root input: first the contractions of that input
-  (covariant filtrations), then one bottom horn per missing hanging face
-  followed by another covariant filtration.
+* ``pp-inner`` fills a shuffle by inner horns at the edges ``(e, x)`` where
+  the vertex of S below ``e`` occurs whole at ``x``;
+* ``pp-stable`` fills a black-rooted shuffle by inner horns on
+  root-coloured edges, and a white-rooted one in two passes over the faces
+  hanging over the distinguished root input: first the contractions of
+  that input (covariant filtrations), then one bottom horn per missing
+  hanging face followed by another covariant filtration.
 
-The base complex is computed by projection tests: a tensor face lies in
-the base iff its S-projection lands in the horn or its T-projection is a
+Every face a fill step uses is read from the shuffle's face poset.  The
+base complex is computed by projection tests: a tensor face lies in the
+base iff its S-projection lands in the horn or its T-projection is a
 proper face of T.
 """
 
@@ -25,6 +32,7 @@ from .anodyne import (
     Step,
     class_of_steps,
     filtration_steps,
+    missing_inner_covers,
 )
 from .complexes import FaceComplex, TensorAmbient
 from .faces import (
@@ -37,7 +45,6 @@ from .faces import (
     SubPoset,
     apply_elementary_face,
     enumerate_sub,
-    full_face,
     make_key,
 )
 from .order import EdgeOrder, edge_order
@@ -72,9 +79,9 @@ class PPContext:
         self.tensor = TensorAmbient(s_tree, t_tree)
         self.s_sub = enumerate_sub(S)
         self.t_sub = enumerate_sub(t_tree.tree)
-        omitted = apply_elementary_face(full_face(S), *omit_site)
-        self.s_excluded = {full_face(S).key, omitted.key}
-        self.t_full_key = full_face(t_tree.tree).key
+        omitted = apply_elementary_face(self.s_sub.top, *omit_site)
+        self.s_excluded = {self.s_sub.top.key, omitted.key}
+        self.t_full_key = self.t_sub.top.key
         self.current: set[FaceKey] = set()
         self.steps: list[Step] = []
         self.extension_sets: list[ExtensionSet] = []
@@ -213,19 +220,10 @@ def black_root_extension_set(sh: Shuffle, ctx: PPContext) -> ExtensionSet:
     sub = enumerate_sub(tr)
     base = ctx.local_base(sub, sub.top)
     members = []
-    for ef in sub.covers:
-        if ef.kind != INNER:
-            continue
-        if base.contains(ef.codomain_key) or base.contains(ef.domain.key):
-            continue
+    for ef in missing_inner_covers(sub, base):
         s, x = split_name(ef.at)
-        if s != rs or x not in xs:
-            continue
-        if not any(
-            pair_name(l, x) in ef.codomain.edges for l in v_inputs
-        ):
-            continue
-        members.append(ef)
+        if s == rs and x in xs and any(pair_name(l, x) in ef.codomain.edges for l in v_inputs):
+            members.append(ef)
     return ExtensionSet(tr, base, members)
 
 
@@ -311,11 +309,26 @@ def white_root_extension_set(
 # ---------------------------------------------------------------------------
 
 
-def _finish(ctx: PPContext, base: FaceComplex) -> Certificate:
+def _sweep(ctx: PPContext, shuffles: list[Shuffle], fill, collect: list | None) -> Certificate:
+    """Run one pipeline: in the given order, hand every shuffle that is not
+    yet full to ``fill(sh, sub)``, which must exhaust it; then check that
+    the steps reach the full tensor complex and replay the certificate.
+    ``collect``, when given, receives every extension set built."""
     from .certify import replay_certificate
 
-    universe = set(ctx.tensor.universe)
-    if ctx.current != universe:
+    if collect is not None:
+        ctx.extension_sets = collect
+    base = ctx.base_complex()
+    ctx.current = set(base.members)
+    for sh in shuffles:
+        sub = ctx.tensor.sub(sh)
+        if all(k in ctx.current for k in sub.index):
+            continue
+        fill(sh, sub)
+        missing = [k for k in sub.index if k not in ctx.current]
+        if missing:
+            raise ReplayGuardError(f"shuffle not exhausted: {missing[:3]}")
+    if ctx.current != set(ctx.tensor.universe):
         raise ReplayGuardError("pipeline did not reach the full tensor complex")
     steps = tuple(ctx.steps)
     cert = Certificate(ctx.tensor, base, class_of_steps(steps), steps)
@@ -341,25 +354,14 @@ def certify_pp_stable(
     require_admissible(s_tree, t_tree)
     l1, leaf_inputs = _root_vertex_data(s_tree)
     ctx = PPContext(s_tree, t_tree, (BOTTOM, l1))
-    if collect is not None:
-        ctx.extension_sets = collect
-    base = ctx.base_complex()
-    ctx.current = set(base.members)
-    rt = t_tree.tree.root
-    for sh in ctx.tensor.poset.linearization():
-        tr = sh.tree.tree
-        sub = ctx.tensor.sub(sh)
-        if all(k in ctx.current for k in sub.index):
-            continue
-        if sh.vertex_colour(tr.root) == BLACK:
-            es = black_root_extension_set(sh, ctx)
-            ctx.run_filtration(es, edge_order(sh.tree))
+
+    def fill(sh: Shuffle, sub: SubPoset) -> None:
+        if sh.vertex_colour(sh.tree.tree.root) == BLACK:
+            ctx.run_filtration(black_root_extension_set(sh, ctx), edge_order(sh.tree))
         else:
-            _fill_white_rooted(ctx, sh, l1, leaf_inputs, rt)
-        missing = [k for k in sub.index if k not in ctx.current]
-        if missing:
-            raise ReplayGuardError(f"shuffle not exhausted: {missing[:3]}")
-    return _finish(ctx, base)
+            _fill_white_rooted(ctx, sh, sub, l1, leaf_inputs)
+
+    return _sweep(ctx, ctx.tensor.poset.linearization(), fill, collect)
 
 
 def _top_colours(ctx: PPContext, face: Face) -> frozenset[str]:
@@ -379,29 +381,31 @@ def _top_colours(ctx: PPContext, face: Face) -> frozenset[str]:
     return _t_top(ctx, l1, face.maximal, root_identity)[1]
 
 
-def _fill_white_rooted(ctx: PPContext, sh: Shuffle, l1, leaf_inputs, rt) -> None:
+def _fill_white_rooted(ctx: PPContext, sh: Shuffle, sub: SubPoset, l1, leaf_inputs) -> None:
+    """Fill a white-rooted shuffle; every face used is read from ``sub``."""
     tr = sh.tree.tree
-    sub = ctx.tensor.sub(sh)
     ordr = edge_order(sh.tree)
-    l1_rt = pair_name(l1, rt)
-    top = full_face(tr)
+    l1_rt = pair_name(l1, ctx.t_tree.tree.root)
+    top = sub.top
     hang_edges = {e for e in tr.edges if tr.leq(l1_rt, e)}
-    hanging = Face(tr, hang_edges, top.caps & hang_edges)
+    hanging = sub.face(make_key(hang_edges, top.caps & hang_edges))
     over = [f for f in sub.downset(hanging) if f.root == l1_rt]
 
     def grafted(rp: Face) -> Face:
         edges = {tr.root} | {
             pair_name(l, t) for l in leaf_inputs for t in ctx.t_tree.tree.edges
-        } | set(rp.edges)
-        caps = (set(top.caps) & (edges - rp.edges)) | set(rp.caps)
-        return Face(tr, edges, caps)
+        } | rp.edges
+        return sub.face(make_key(edges, (top.caps & (edges - rp.edges)) | rp.caps))
 
     # first sweep: contractions of the distinguished root input
     for rp in over:
         if rp.rank == 0:
             continue
         whole = grafted(rp)
-        contracted = apply_elementary_face(whole, INNER, l1_rt)
+        contraction = sub.face_map(whole, INNER, l1_rt)
+        if contraction is None:
+            raise FaceError(f"{whole!r} has no elementary face inner({l1_rt})")
+        contracted = contraction.domain
         tc = _top_colours(ctx, contracted)
         local = ctx.local_base(sub, contracted)
         es = white_root_extension_set(contracted, tc, local, ctx)
@@ -415,9 +419,7 @@ def _fill_white_rooted(ctx: PPContext, sh: Shuffle, l1, leaf_inputs, rt) -> None
         tc = _top_colours(ctx, whole)
         if rp.key not in ctx.current:
             corolla_leaves = {pair_name(l, x) for l in leaf_inputs for x in tc}
-            edges = {tr.root} | corolla_leaves | set(rp.edges)
-            caps = set(rp.caps)
-            capped = Face(tr, edges, caps)
+            capped = sub.face(make_key({tr.root} | corolla_leaves | rp.edges, rp.caps))
             ctx.steps.append(
                 Step(capped.key, BOTTOM, l1_rt, (ctx.next_phase(), rp.rank, 0))
             )
@@ -437,31 +439,13 @@ def certify_pp_inner(
     if e not in S.inner_edges:
         raise InadmissiblePairError(f"{e!r} is not an inner edge of S")
     ctx = PPContext(s_tree, t_tree, (INNER, e))
-    if collect is not None:
-        ctx.extension_sets = collect
-    base = ctx.base_complex()
-    ctx.current = set(base.members)
     below = S.parent[e]
     v_inputs = s_tree.ordered_children(below)
-    for sh in ctx.tensor.poset.linearization(reverse=True):
-        tr = sh.tree.tree
-        sub = ctx.tensor.sub(sh)
-        if all(k in ctx.current for k in sub.index):
-            continue
-        xs = _white_vertex_sites(sh, below, v_inputs)
+
+    def fill(sh: Shuffle, sub: SubPoset) -> None:
+        sites = {(e, x) for x in _white_vertex_sites(sh, below, v_inputs)}
         local = ctx.local_base(sub, sub.top)
-        members = []
-        for ef in sub.covers:
-            if ef.kind != INNER:
-                continue
-            if local.contains(ef.codomain_key) or local.contains(ef.domain.key):
-                continue
-            s, x = split_name(ef.at)
-            if s == e and x in xs:
-                members.append(ef)
-        es = ExtensionSet(tr, local, members)
-        ctx.run_filtration(es, edge_order(sh.tree))
-        missing = [k for k in sub.index if k not in ctx.current]
-        if missing:
-            raise ReplayGuardError(f"shuffle not exhausted: {missing[:3]}")
-    return _finish(ctx, base)
+        members = [ef for ef in missing_inner_covers(sub, local) if split_name(ef.at) in sites]
+        ctx.run_filtration(ExtensionSet(sh.tree.tree, local, members), edge_order(sh.tree))
+
+    return _sweep(ctx, ctx.tensor.poset.linearization(reverse=True), fill, collect)

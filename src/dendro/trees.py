@@ -397,7 +397,6 @@ class TreeInfo:
     is_linear: bool
     is_corolla: bool
     inner_edges: frozenset[str]
-    heights: Mapping[str, int]
 
 
 def classify(t: Tree) -> TreeInfo:
@@ -407,7 +406,6 @@ def classify(t: Tree) -> TreeInfo:
         is_linear=all(len(v) == 1 for v in vertices),
         is_corolla=len(vertices) == 1,
         inner_edges=t.inner_edges,
-        heights={e: t.height(e) for e in t.edges},
     )
 
 
