@@ -5,16 +5,14 @@ certificates."""
 
 from .anodyne import (
     AxiomError,
-    Certificate,
     ExtensionSet,
-    Step,
     build_filtration,
     canonical_extensions,
     check_axioms,
     inner_extension_set,
     segal_certificate,
 )
-from .certify import mutate_and_check, replay_certificate
+from .certify import Certificate, Step, mutate_and_check, replay_certificate
 from .complexes import (
     FaceComplex,
     TensorAmbient,

@@ -8,31 +8,23 @@ missing region is swept out by *canonical extensions*: pairs ``(D, P)``
 where the map ``D -> P`` is least both among the set's faces of ``P`` and
 among its extensions of ``D``.  Emitting one horn step per canonical pair,
 in order of (rank, extension count), yields a certificate that the
-inclusion of the base is a composition of horn pushouts.
+inclusion of the base is a composition of horn pushouts.  The certificate
+format and its replay live in ``certify``; every certificate built here
+passes ``certify.replay_guard`` before it is returned.
 """
 
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .complexes import (
-    Ambient,
-    FaceComplex,
-    MalformedCertificateError,
-    ambient_from_json,
-    ambient_to_json,
-    json_field,
-    key_from_json,
-    key_to_json,
-)
+from .certify import Certificate, Step, class_of_steps, replay_guard
+from .complexes import FaceComplex, segal_core
 from .faces import (
     ADJACENT,
     INNER,
     MIXED,
-    TOP,
     ElementaryFace,
     Face,
     FaceError,
@@ -41,12 +33,8 @@ from .faces import (
     classify_pair,
     enumerate_sub,
 )
-from .order import EdgeOrder, compare_face_maps
+from .order import EdgeOrder, compare_face_maps, edge_order
 from .trees import Tree
-
-OPERADIC = "operadic"
-COVARIANT = "covariant"
-STABLE = "stable"
 
 AXIOMS = ("F1", "F2", "F3", "F4", "F5")
 
@@ -57,10 +45,6 @@ class AxiomError(FaceError):
     def __init__(self, report: "AxiomReport"):
         super().__init__("extension set fails axioms: " + report.summary())
         self.report = report
-
-
-class ReplayGuardError(FaceError):
-    """A freshly built certificate failed its own replay (internal bug)."""
 
 
 def _sig(ef: ElementaryFace) -> tuple:
@@ -323,94 +307,6 @@ def canonical_extensions(
     return pairs
 
 
-# ---------------------------------------------------------------------------
-# Certificates
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Step:
-    """One horn pushout.  ``batch`` is ``(phase, rank, extensions)``: steps
-    sharing a batch label are mutually independent; the phase component
-    separates the filtrations a composite certificate was assembled from,
-    the other two are the rank of the omitted face and the number of its
-    set-extensions."""
-
-    face: FaceKey
-    omit_kind: str
-    omit_at: str
-    batch: tuple[int, int, int]
-
-    def to_json(self) -> dict:
-        return {
-            "face": key_to_json(self.face),
-            "omit": {"kind": self.omit_kind, "at": self.omit_at},
-            "batch": list(self.batch),
-        }
-
-    @staticmethod
-    def from_json(data: dict) -> "Step":
-        omit = json_field(data, "omit", dict)
-        batch = json_field(data, "batch", list)
-        if not all(isinstance(b, int) for b in batch):
-            raise MalformedCertificateError("'batch' must be a list of integers")
-        return Step(
-            key_from_json(json_field(data, "face", dict)),
-            json_field(omit, "kind", str),
-            json_field(omit, "at", str),
-            tuple(batch),
-        )
-
-
-@dataclass(frozen=True)
-class Certificate:
-    """An ordered list of horn-pushout steps from a base complex to the
-    full complex of the ambient, with an anodyne class tag."""
-
-    ambient: Ambient
-    base: FaceComplex
-    class_tag: str
-    steps: tuple[Step, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "ambient": ambient_to_json(self.ambient),
-            "base": [key_to_json(k) for k in self.base.maximal_members()],
-            "class": self.class_tag,
-            "steps": [s.to_json() for s in self.steps],
-        }
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
-
-    @staticmethod
-    def from_json(data: dict) -> "Certificate":
-        from .complexes import closure, _universe_of
-
-        steps = tuple(Step.from_json(s) for s in json_field(data, "steps", list))
-        class_tag = json_field(data, "class", str)
-        keys = [key_from_json(item) for item in json_field(data, "base", list)]
-        ambient = ambient_from_json(json_field(data, "ambient", dict))
-        universe = _universe_of(ambient)
-        base = closure(ambient, [universe[key] for key in keys if key in universe])
-        # keys outside the ambient stay in the base, where replay rejects them
-        base = FaceComplex(ambient, base.members.union(keys))
-        return Certificate(ambient, base, class_tag, steps)
-
-    @staticmethod
-    def loads(text: str) -> "Certificate":
-        return Certificate.from_json(json.loads(text))
-
-
-def class_of_steps(steps: Sequence[Step]) -> str:
-    kinds = {s.omit_kind for s in steps}
-    if kinds <= {INNER}:
-        return OPERADIC
-    if kinds <= {INNER, TOP}:
-        return COVARIANT
-    return STABLE
-
-
 def filtration_steps(es: ExtensionSet, ord: EdgeOrder, phase: int = 0) -> list[Step]:
     """Canonical extensions as horn steps, batched by (rank of the omitted
     face, number of set-extensions of it), batches in ascending order."""
@@ -458,23 +354,14 @@ def _assert_descent(es, pairs, canonical_keys):
 def build_filtration(es: ExtensionSet, ord: EdgeOrder) -> Certificate:
     """Certificate for ``base -> full`` over the extension set's ambient;
     replays itself as an internal guard before returning."""
-    from .certify import replay_certificate
-
     steps = tuple(filtration_steps(es, ord))
-    cert = Certificate(es.ambient, es.base, class_of_steps(steps), steps)
-    verdict = replay_certificate(cert)
-    if not verdict.accepted:
-        raise ReplayGuardError(f"fresh certificate rejected: {verdict.reason}")
-    return cert
+    return replay_guard(Certificate(es.ambient, es.base, class_of_steps(steps), steps))
 
 
 def segal_certificate(pt) -> Certificate:
     """Certificate that the Segal core includes anodynely, via the inner
     extension set; the class is operadic for every tree with two or more
     vertices."""
-    from .complexes import segal_core
-    from .order import edge_order
-
     base = segal_core(pt.tree)
     es = inner_extension_set(pt.tree, base)
     return build_filtration(es, edge_order(pt))

@@ -12,8 +12,8 @@ import json
 import sys
 
 from . import dot
-from .anodyne import Certificate, segal_certificate
-from .certify import replay_certificate
+from .anodyne import segal_certificate
+from .certify import Certificate, replay_certificate
 from .complexes import MalformedCertificateError, key_to_json
 from .faces import FaceError, enumerate_sub
 from .order import edge_order

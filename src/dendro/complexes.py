@@ -14,7 +14,7 @@ from typing import Iterable, Union
 
 from .faces import ElementaryFace, Face, FaceError, FaceKey, SubPoset, enumerate_sub, make_key
 from .shuffles import PercolationPoset, Shuffle, enumerate_shuffles
-from .trees import PlanarTree, Tree, render_tree
+from .trees import PlanarTree, Tree, parse_tree, render_tree
 
 
 class TensorAmbient:
@@ -200,8 +200,6 @@ def json_field(data, name: str, kind: type):
 
 
 def ambient_from_json(data: dict) -> Ambient:
-    from .trees import parse_tree
-
     kind = json_field(data, "type", str)
     if kind == "tree":
         return parse_tree(json_field(data, "tree", str)).tree

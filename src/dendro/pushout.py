@@ -25,15 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .anodyne import (
-    Certificate,
-    ExtensionSet,
-    ReplayGuardError,
-    Step,
-    class_of_steps,
-    filtration_steps,
-    missing_inner_covers,
-)
+from .anodyne import ExtensionSet, filtration_steps, missing_inner_covers
+from .certify import Certificate, ReplayGuardError, Step, class_of_steps, replay_guard
 from .complexes import FaceComplex, TensorAmbient
 from .faces import (
     BOTTOM,
@@ -103,20 +96,14 @@ class PPContext:
         caps = {m for m in maxs if any(own.leq(h, m) for h in hard)}
         return make_key(cols, caps)
 
-    def s_projection(self, face: Face) -> FaceKey:
-        return self._project(face, 0, self.t_tree.tree, self.s_tree.tree)
-
-    def t_projection(self, face: Face) -> FaceKey:
-        return self._project(face, 1, self.s_tree.tree, self.t_tree.tree)
-
     def in_base(self, face: Face) -> bool:
         """Membership in horn(S) (x) T union S (x) boundary(T)."""
-        sp = self.s_projection(face)
+        sp = self._project(face, 0, self.t_tree.tree, self.s_tree.tree)
         if sp not in self.s_sub.index:
             raise FaceError(f"S-projection {sp} of {face!r} is not a face")
         if sp not in self.s_excluded:
             return True
-        tp = self.t_projection(face)
+        tp = self._project(face, 1, self.s_tree.tree, self.t_tree.tree)
         if tp not in self.t_sub.index:
             raise FaceError(f"T-projection {tp} of {face!r} is not a face")
         return tp != self.t_full_key
@@ -128,18 +115,6 @@ class PPContext:
         return FaceComplex(self.tensor, members)
 
     # -- per-shuffle plumbing ---------------------------------------------
-
-    def restricted_order(self, ordr: EdgeOrder, face: Face) -> EdgeOrder:
-        planar = PlanarTree(
-            face.as_tree(),
-            {
-                e: tuple(sorted(face.children[e], key=ordr.rank.__getitem__))
-                for e in face.edges
-                if face.children[e] or e in face.caps
-            },
-        )
-        rank = {e: ordr.rank[e] for e in face.edges}
-        return EdgeOrder(planar, rank)
 
     def local_base(self, sub: SubPoset, top: Face) -> FaceComplex:
         """The present faces in the downset view of ``top`` in ``sub``."""
@@ -191,19 +166,14 @@ def _root_vertex_data(s_tree: PlanarTree) -> tuple[str, list[str]]:
 # ---------------------------------------------------------------------------
 
 
-def _white_vertex_sites(sh: Shuffle, out_s: str, inputs: tuple[str, ...]) -> set[str]:
-    """T-colours x such that the full white vertex (inputs over out_s)
-    occurs in the shuffle at the edge (out_s, x)."""
-    tr = sh.tree.tree
-    sites = set()
-    for e in tr.edges:
-        s, t = split_name(e)
-        if s != out_s or e in tr.leaves:
-            continue
-        want = {pair_name(i, t) for i in inputs}
-        if set(tr.children[e]) == want:
-            sites.add(t)
-    return sites
+def _white_vertex_sites(sh: Shuffle, out_s: str) -> set[str]:
+    """T-colours x such that the full white vertex of ``out_s`` occurs in
+    the shuffle at the edge (out_s, x)."""
+    return {
+        split_name(e)[1]
+        for e in sh.tree.tree.edges
+        if split_name(e)[0] == out_s and sh.white_vertex_at(e)
+    }
 
 
 def black_root_extension_set(sh: Shuffle, ctx: PPContext) -> ExtensionSet:
@@ -216,7 +186,7 @@ def black_root_extension_set(sh: Shuffle, ctx: PPContext) -> ExtensionSet:
     S = ctx.s_tree
     rs = S.tree.root
     v_inputs = S.ordered_children(rs)
-    xs = _white_vertex_sites(sh, rs, v_inputs)
+    xs = _white_vertex_sites(sh, rs)
     sub = enumerate_sub(tr)
     base = ctx.local_base(sub, sub.top)
     members = []
@@ -314,8 +284,6 @@ def _sweep(ctx: PPContext, shuffles: list[Shuffle], fill, collect: list | None) 
     yet full to ``fill(sh, sub)``, which must exhaust it; then check that
     the steps reach the full tensor complex and replay the certificate.
     ``collect``, when given, receives every extension set built."""
-    from .certify import replay_certificate
-
     if collect is not None:
         ctx.extension_sets = collect
     base = ctx.base_complex()
@@ -331,14 +299,7 @@ def _sweep(ctx: PPContext, shuffles: list[Shuffle], fill, collect: list | None) 
     if ctx.current != set(ctx.tensor.universe):
         raise ReplayGuardError("pipeline did not reach the full tensor complex")
     steps = tuple(ctx.steps)
-    cert = Certificate(ctx.tensor, base, class_of_steps(steps), steps)
-    verdict = replay_certificate(cert)
-    if not verdict.accepted:
-        raise ReplayGuardError(
-            f"pushout-product certificate rejected at step {verdict.step_index}: "
-            f"{verdict.reason}"
-        )
-    return cert
+    return replay_guard(Certificate(ctx.tensor, base, class_of_steps(steps), steps))
 
 
 def certify_pp_stable(
@@ -440,10 +401,9 @@ def certify_pp_inner(
         raise InadmissiblePairError(f"{e!r} is not an inner edge of S")
     ctx = PPContext(s_tree, t_tree, (INNER, e))
     below = S.parent[e]
-    v_inputs = s_tree.ordered_children(below)
 
     def fill(sh: Shuffle, sub: SubPoset) -> None:
-        sites = {(e, x) for x in _white_vertex_sites(sh, below, v_inputs)}
+        sites = {(e, x) for x in _white_vertex_sites(sh, below)}
         local = ctx.local_base(sub, sub.top)
         members = [ef for ef in missing_inner_covers(sub, local) if split_name(ef.at) in sites]
         ctx.run_filtration(ExtensionSet(sh.tree.tree, local, members), edge_order(sh.tree))

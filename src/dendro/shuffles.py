@@ -62,6 +62,16 @@ class Shuffle:
             return BLACK
         return WHITE
 
+    def white_vertex_at(self, e: str) -> bool:
+        """Whether the full white vertex of ``s`` sits above ``e = (s, t)``:
+        ``e`` is not a leaf and its children are exactly the pairs ``(x, t)``
+        over the inputs ``x`` of ``s`` in S (none for a stump)."""
+        tr = self.tree.tree
+        if tr.is_leaf(e):
+            return False
+        s, t = split_name(e)
+        return set(tr.children[e]) == {pair_name(x, t) for x in self.s_tree.ordered_children(s)}
+
     def __repr__(self) -> str:
         return f"Shuffle({'|'.join(self.key)})"
 
@@ -141,21 +151,9 @@ def percolation_successors(sh: Shuffle) -> list[Shuffle]:
             continue
         v = S.ordered_children(s)
         w_edges = sh.tree.ordered_children(e)
-        w_cols = tuple(split_name(c)[1] for c in w_edges)
-        ok = True
-        for c in w_edges:
-            tc = split_name(c)[1]
-            if v:
-                want = {pair_name(x, tc) for x in v}
-                if tr.is_leaf(c) or set(tr.children[c]) != want:
-                    ok = False
-                    break
-            else:
-                if tr.is_leaf(c) or tr.children[c]:
-                    ok = False
-                    break
-        if not ok:
+        if not all(sh.white_vertex_at(c) for c in w_edges):
             continue
+        w_cols = tuple(split_name(c)[1] for c in w_edges)
         order = {
             x: (sh.tree.ordered_children(x) if not tr.is_leaf(x) else ())
             for x in tr.edges

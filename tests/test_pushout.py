@@ -13,8 +13,9 @@ from dendro.pushout import (
     essential_data,
     white_root_extension_set,
 )
+from dendro.order import EdgeOrder
 from dendro.shuffles import BLACK, WHITE, enumerate_shuffles, pair_name
-from dendro.trees import parse_tree
+from dendro.trees import PlanarTree, parse_tree
 
 WORKED_S = "0[1[4 5] 2 3]"
 WORKED_T = "a[b[] c[d[]]]"
@@ -77,6 +78,20 @@ class TestEssentialData:
             essential_data(sh, bad, ctx)
 
 
+def restricted_order(ordr: EdgeOrder, face: Face) -> EdgeOrder:
+    """The planar order ``ordr`` restricted to the edges of ``face``."""
+    planar = PlanarTree(
+        face.as_tree(),
+        {
+            e: tuple(sorted(face.children[e], key=ordr.rank.__getitem__))
+            for e in face.edges
+            if face.children[e] or e in face.caps
+        },
+    )
+    rank = {e: ordr.rank[e] for e in face.edges}
+    return EdgeOrder(planar, rank)
+
+
 class TestBaseComplex:
     @staticmethod
     def oracle(ctx):
@@ -93,8 +108,8 @@ class TestBaseComplex:
             for tf in enumerate_sub(T.tree):
                 if sf.key in ctx.s_excluded and tf.key == t_full:
                     continue
-                s_planar = ctx.restricted_order(s_ord, sf).tree
-                t_planar = ctx.restricted_order(t_ord, tf).tree
+                s_planar = restricted_order(s_ord, sf).tree
+                t_planar = restricted_order(t_ord, tf).tree
                 for sh in enumerate_shuffles(s_planar, t_planar):
                     for f in enumerate_sub(sh.tree.tree):
                         members.add(f.key)
