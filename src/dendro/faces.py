@@ -15,7 +15,6 @@ Elementary face maps come in three kinds:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .trees import Operation, Tree, is_operation
@@ -42,8 +41,10 @@ def make_key(edges: Iterable[str], caps: Iterable[str]) -> FaceKey:
 class Face:
     """A subtree of an ambient tree, identified by its ``(edges, caps)`` key.
 
-    The ambient tree supplies the partial order; all derived structure
-    (root, per-edge inputs, leaves, rank) is computed once at construction.
+    The ambient tree supplies the partial order.  The root, the parent and
+    children of each edge, the key and the rank are computed once at
+    construction; ``maximal``, ``leaves`` and ``inner_edges`` are properties
+    derived from them on each call.
     """
 
     __slots__ = ("ambient", "edges", "caps", "key", "root", "parent", "children", "rank")
@@ -51,25 +52,24 @@ class Face:
     def __init__(self, ambient: Tree, edges: Iterable[str], caps: Iterable[str] = ()):
         edges = frozenset(edges)
         caps = frozenset(caps)
-        unknown = edges - ambient.edges
-        if unknown:
-            raise FaceError(f"edges not in ambient tree: {sorted(unknown)}")
+        if not edges <= ambient.edges:
+            raise FaceError(f"edges not in ambient tree: {sorted(edges - ambient.edges)}")
+        up = ambient.parent.get
         parent: dict[str, str] = {}
         children: dict[str, list[str]] = {e: [] for e in edges}
         roots = []
         for e in edges:
-            p = e
-            while p != ambient.root:
-                p = ambient.parent[p]
-                if p in edges:
-                    parent[e] = p
-                    children[p].append(e)
-                    break
-            else:
+            p = up(e)
+            while p is not None and p not in edges:
+                p = up(p)
+            if p is None:
                 roots.append(e)
+            else:
+                parent[e] = p
+                children[p].append(e)
         if len(roots) != 1:
             raise FaceError(f"face must have a unique minimal edge, found {sorted(roots)}")
-        if not caps <= {e for e in edges if not children[e]}:
+        if not caps <= edges or any(children[c] for c in caps):
             raise FaceError("caps must be maximal edges of the face")
         self.ambient = ambient
         self.edges = edges
@@ -77,8 +77,11 @@ class Face:
         self.key = make_key(edges, caps)
         self.root = roots[0]
         self.parent = parent
-        self.children = {e: tuple(sorted(cs)) for e, cs in children.items()}
-        self.rank = sum(1 for e in edges if children[e]) + len(caps)
+        self.children = {
+            e: tuple(sorted(cs)) if len(cs) > 1 else tuple(cs) for e, cs in children.items()
+        }
+        # one vertex over each edge with inputs, and one per cap
+        self.rank = len(set(parent.values())) + len(caps)
 
     # -- structure -------------------------------------------------------
 
@@ -124,22 +127,31 @@ def full_face(ambient: Tree) -> Face:
     return Face(ambient, ambient.edges, ambient.stump_outputs)
 
 
-@dataclass(frozen=True)
 class ElementaryFace:
     """An elementary face map ``domain -> codomain``.
 
     ``at`` is the contracted edge (inner), the output of the chopped vertex
     or removed cap (top), or the kept input of the root vertex (bottom).
+    Two maps are equal when their kind, ``at``, domain and codomain key are.
     """
 
-    kind: str
-    at: str
-    domain: Face
-    codomain: Face = field(compare=False)
-    codomain_key: FaceKey = field(init=False)
+    __slots__ = ("kind", "at", "domain", "codomain", "codomain_key")
 
-    def __post_init__(self):
-        object.__setattr__(self, "codomain_key", self.codomain.key)
+    def __init__(self, kind: str, at: str, domain: Face, codomain: Face):
+        self.kind = kind
+        self.at = at
+        self.domain = domain
+        self.codomain = codomain
+        self.codomain_key = codomain.key
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ElementaryFace):
+            return NotImplemented
+        mine = (self.kind, self.at, self.domain, self.codomain_key)
+        return mine == (other.kind, other.at, other.domain, other.codomain_key)
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.at, self.domain, self.codomain_key))
 
     def assigned_operation(self) -> Operation:
         """The operation used to order face maps: ``(e;e)`` for inner,
@@ -167,28 +179,35 @@ def _elementary_domains(p: Face) -> list[tuple[str, str, frozenset[str], frozens
     input: every input of a corolla, else the unique non-leaf input when all
     other inputs are leaves.
     """
-    edges, caps, children, leaves = p.edges, p.caps, p.children, p.leaves
-    out = []
-    for e in sorted(edges - leaves - {p.root}):
-        low = caps
-        if e in caps:
-            low = caps - {e}
-            if children[p.parent[e]] == (e,):
-                low = low | {p.parent[e]}
-        out.append((INNER, e, edges - {e}, low))
+    edges, caps, children, root = p.edges, p.caps, p.children, p.root
+    leaves = {e for e, cs in children.items() if not cs} - caps
+    inner, top = [], []
     for e in sorted(edges):
+        if e in leaves:
+            continue
         if e in caps:
-            out.append((TOP, e, edges, caps - {e}))
-        elif children[e] and leaves.issuperset(children[e]):
-            out.append((TOP, e, edges.difference(children[e]), caps))
-    root_inputs = children[p.root]
+            top.append((TOP, e, edges, caps - {e}))
+        elif leaves.issuperset(children[e]):
+            top.append((TOP, e, edges.difference(children[e]), caps))
+        if e != root:
+            low = caps
+            if e in caps:
+                low = caps - {e}
+                if children[p.parent[e]] == (e,):
+                    low = low | {p.parent[e]}
+            inner.append((INNER, e, edges - {e}, low))
+    out = inner + top
+    root_inputs = children[root]
     if p.is_corolla():
         out.extend((BOTTOM, e, frozenset((e,)), frozenset()) for e in root_inputs)
     else:
         non_leaf = [e for e in root_inputs if e not in leaves]
         if len(non_leaf) == 1:
             at = non_leaf[0]
-            kept = frozenset(e for e in edges if p.ambient.leq(at, e))
+            above = [at]
+            for e in above:
+                above.extend(children[e])
+            kept = frozenset(above)
             out.append((BOTTOM, at, kept, caps & kept))
     return out
 
@@ -328,35 +347,44 @@ class SubPoset:
     downset/upset bitmasks for fast order queries.  The faces of a face
     ``F`` are the faces below ``F`` here, with the same keys, so a set over
     ``F`` is the downset view ``downset_mask(F)`` of this poset.
+
+    The build sorts no map list, yet guarantees three orders: each
+    ``faces_of`` list is by ``(kind, at)`` (bottom, inner, top); ``covers``
+    is by codomain key, then ``(kind, at)``; each ``extensions_of`` list is
+    by codomain key.  ``faces`` is by ``(rank, key)``.
     """
 
     def __init__(self, ambient: Tree):
         self.ambient = ambient
         top = full_face(ambient)
-        by_key: dict[FaceKey, Face] = {top.key: top}
-        covers: list[ElementaryFace] = []
+        by_pair: dict[tuple[frozenset[str], frozenset[str]], Face] = {(top.edges, top.caps): top}
+        self._faces_of: dict[FaceKey, list[ElementaryFace]] = {}
         queue = [top]
         while queue:
             p = queue.pop()
+            maps = []
             for kind, at, edges, caps in _elementary_domains(p):
-                key = make_key(edges, caps)
-                domain = by_key.get(key)
+                domain = by_pair.get((edges, caps))
                 if domain is None:
-                    domain = by_key[key] = Face(ambient, edges, caps)
+                    domain = by_pair[edges, caps] = Face(ambient, edges, caps)
                     queue.append(domain)
-                covers.append(ElementaryFace(kind, at, domain, p))
-        self.faces: list[Face] = sorted(by_key.values(), key=lambda f: (f.rank, f.key))
+                maps.append(ElementaryFace(kind, at, domain, p))
+            # the rule emits the bottom maps last; (kind, at) order puts them first
+            i = len(maps)
+            while i and maps[i - 1].kind == BOTTOM:
+                i -= 1
+            self._faces_of[p.key] = maps[i:] + maps[:i]
+        self.faces: list[Face] = sorted(by_pair.values(), key=lambda f: (f.rank, f.key))
         self.index: dict[FaceKey, int] = {f.key: i for i, f in enumerate(self.faces)}
         self.top = top
-        covers.sort(key=lambda ef: (ef.codomain_key, ef.kind, ef.at))
-        self.covers = covers
-        self._faces_of: dict[FaceKey, list[ElementaryFace]] = {f.key: [] for f in self.faces}
+        self.covers: list[ElementaryFace] = []
         self._extensions_of: dict[FaceKey, list[ElementaryFace]] = {
             f.key: [] for f in self.faces
         }
-        for ef in self.covers:
-            self._faces_of[ef.codomain_key].append(ef)
-            self._extensions_of[ef.domain.key].append(ef)
+        for key in sorted(self._faces_of):
+            for ef in self._faces_of[key]:
+                self.covers.append(ef)
+                self._extensions_of[ef.domain.key].append(ef)
         # downsets and upsets as bitmasks, computed along the rank grading
         self._down: list[int] = [0] * len(self.faces)
         for i, f in enumerate(self.faces):

@@ -66,6 +66,31 @@ class TestElementaryFaces:
         t = tree("e")
         assert all_elementary_faces(full_face(t)) == []
 
+    def test_map_equality_hash_and_repr(self):
+        t = tree(EXAMPLE)
+        edges = {"r", "c", "d", "e", "a", "b", "f"}
+
+        def inner_e(kind=INNER, at="e", low=edges - {"e"}, high=edges):
+            return ElementaryFace(kind, at, Face(t, low, {"c"}), Face(t, high, {"c"}))
+
+        f, g = inner_e(), inner_e()
+        assert f.codomain is not g.codomain and f.codomain == g.codomain
+        assert f == g and hash(f) == hash(g)
+        assert hash(f) == hash((f.kind, f.at, f.domain, f.codomain_key))
+        assert f.codomain_key == make_key(edges, {"c"})
+        changed = [
+            inner_e(kind=TOP),
+            inner_e(at="c"),
+            inner_e(low=edges - {"a", "b"}),
+            inner_e(high=edges - {"f"}),
+        ]
+        for h in changed:
+            assert f != h and not f == h
+        assert len({f, g, *changed}) == 5
+        assert (f == "inner(e)") is False and f != 0
+        assert f.__eq__(object()) is NotImplemented
+        assert repr(f) == "inner(e): Face(a,b,c,d,f,r; caps c) -> Face(a,b,c,d,e,f,r; caps c)"
+
     def test_corolla(self):
         p = full_face(tree("r[x y]"))
         got = {(ef.kind, ef.at) for ef in all_elementary_faces(p)}
