@@ -65,7 +65,7 @@ class Step:
     def from_json(data: dict) -> "Step":
         omit = json_field(data, "omit", dict)
         batch = json_field(data, "batch", list)
-        if not all(isinstance(b, int) for b in batch):
+        if not all(isinstance(b, int) and not isinstance(b, bool) for b in batch):
             raise MalformedCertificateError("'batch' must be a list of integers")
         return Step(
             key_from_json(json_field(data, "face", dict)),

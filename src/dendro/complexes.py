@@ -206,7 +206,7 @@ def ambient_from_json(data: dict) -> Ambient:
     if kind == "tensor":
         s, t = json_field(data, "s", str), json_field(data, "t", str)
         return TensorAmbient(parse_tree(s), parse_tree(t))
-    raise FaceError(f"unknown ambient type {kind!r}")
+    raise MalformedCertificateError(f"unknown ambient type {kind!r}")
 
 
 def key_to_json(key: FaceKey) -> dict:

@@ -44,10 +44,12 @@ class Face:
     The ambient tree supplies the partial order.  The root, the parent and
     children of each edge, the key and the rank are computed once at
     construction; ``maximal``, ``leaves`` and ``inner_edges`` are properties
-    derived from them on each call.
+    derived from them on each call.  ``pos`` is the face's position in the
+    ``faces`` list of the :class:`SubPoset` that built it, and ``-1`` for a
+    face built outside a poset.
     """
 
-    __slots__ = ("ambient", "edges", "caps", "key", "root", "parent", "children", "rank")
+    __slots__ = ("ambient", "edges", "caps", "key", "root", "parent", "children", "rank", "pos")
 
     def __init__(self, ambient: Tree, edges: Iterable[str], caps: Iterable[str] = ()):
         edges = frozenset(edges)
@@ -82,6 +84,7 @@ class Face:
         }
         # one vertex over each edge with inputs, and one per cap
         self.rank = len(set(parent.values())) + len(caps)
+        self.pos = -1
 
     # -- structure -------------------------------------------------------
 
@@ -351,7 +354,8 @@ class SubPoset:
     The build sorts no map list, yet guarantees three orders: each
     ``faces_of`` list is by ``(kind, at)`` (bottom, inner, top); ``covers``
     is by codomain key, then ``(kind, at)``; each ``extensions_of`` list is
-    by codomain key.  ``faces`` is by ``(rank, key)``.
+    by codomain key.  ``faces`` is by ``(rank, key)``, and each face's
+    ``pos`` is its index there, the same int that ``index`` holds.
     """
 
     def __init__(self, ambient: Tree):
@@ -375,7 +379,10 @@ class SubPoset:
                 i -= 1
             self._faces_of[p.key] = maps[i:] + maps[:i]
         self.faces: list[Face] = sorted(by_pair.values(), key=lambda f: (f.rank, f.key))
-        self.index: dict[FaceKey, int] = {f.key: i for i, f in enumerate(self.faces)}
+        self.index: dict[FaceKey, int] = {}
+        for i, f in enumerate(self.faces):
+            f.pos = i
+            self.index[f.key] = i
         self.top = top
         self.covers: list[ElementaryFace] = []
         self._extensions_of: dict[FaceKey, list[ElementaryFace]] = {
@@ -390,13 +397,13 @@ class SubPoset:
         for i, f in enumerate(self.faces):
             mask = 1 << i
             for ef in self._faces_of[f.key]:
-                mask |= self._down[self.index[ef.domain.key]]
+                mask |= self._down[ef.domain.pos]
             self._down[i] = mask
         self._up: list[int] = [0] * len(self.faces)
         for i in reversed(range(len(self.faces))):
             mask = 1 << i
             for ef in self._extensions_of[self.faces[i].key]:
-                mask |= self._up[self.index[ef.codomain_key]]
+                mask |= self._up[ef.codomain.pos]
             self._up[i] = mask
 
     def __len__(self) -> int:
@@ -408,6 +415,15 @@ class SubPoset:
     def __contains__(self, face: Face | FaceKey) -> bool:
         key = face.key if isinstance(face, Face) else face
         return key in self.index
+
+    def _pos(self, p: Face | FaceKey) -> int:
+        """The position of ``p`` in ``faces``: read off one of the poset's
+        own faces, else looked up by key."""
+        if isinstance(p, Face):
+            if 0 <= p.pos < len(self.faces) and self.faces[p.pos] is p:
+                return p.pos
+            p = p.key
+        return self.index[p]
 
     def face(self, key: FaceKey) -> Face:
         """The poset's own face with this key; :class:`FaceError` if none."""
@@ -425,15 +441,13 @@ class SubPoset:
         return self._extensions_of[p.key if isinstance(p, Face) else p]
 
     def leq(self, a: Face | FaceKey, b: Face | FaceKey) -> bool:
-        ia = self.index[a.key if isinstance(a, Face) else a]
-        ib = self.index[b.key if isinstance(b, Face) else b]
-        return bool(self._down[ib] >> ia & 1)
+        return bool(self._down[self._pos(b)] >> self._pos(a) & 1)
 
     def downset_mask(self, p: Face | FaceKey) -> int:
-        return self._down[self.index[p.key if isinstance(p, Face) else p]]
+        return self._down[self._pos(p)]
 
     def upset_mask(self, p: Face | FaceKey) -> int:
-        return self._up[self.index[p.key if isinstance(p, Face) else p]]
+        return self._up[self._pos(p)]
 
     def faces_in(self, mask: int) -> list[Face]:
         """The faces whose bits are set in ``mask``, in (rank, key) order."""
@@ -461,16 +475,21 @@ class SubPoset:
         Faces are indexed by rank, so the lowest upper bound is minimal; it
         is the only minimal one exactly when every upper bound lies above it.
         """
-        ub = self.upset_mask(a) & self.upset_mask(b) & within
+        i = self._join(self._pos(a), self._pos(b), within)
+        return None if i < 0 else self.faces[i]
+
+    def _join(self, a: int, b: int, within: int) -> int:
+        """:meth:`unique_join` on positions: the join's position, or -1."""
+        ub = self._up[a] & self._up[b] & within
         i = (ub & -ub).bit_length() - 1
         if i < 0 or ub & ~self._up[i]:
-            return None
-        return self.faces[i]
+            return -1
+        return i
 
     def face_map(self, p: Face | FaceKey, kind: str, at: str) -> ElementaryFace | None:
         """The elementary face map ``kind(at)`` into ``p``, if ``p`` has one
         (a face has at most one map per label)."""
-        for ef in self.faces_of(p):
+        for ef in self._faces_of[p.key if isinstance(p, Face) else p]:
             if ef.kind == kind and ef.at == at:
                 return ef
         return None
@@ -524,7 +543,7 @@ def classify_pair(f: ElementaryFace, g: ElementaryFace, mode: str = "faces") -> 
     if mode == "composable":
         if f.codomain_key != g.domain.key:
             raise FaceError("composable mode requires f.codomain == g.domain")
-        return ADJACENT if _is_adjacent(f, g) else GOOD
+        return ADJACENT if _is_adjacent(enumerate_sub(g.codomain.ambient), f, g) else GOOD
     raise FaceError(f"unknown mode {mode!r}")
 
 
@@ -534,15 +553,14 @@ def _is_mixed(inner: ElementaryFace, outer: ElementaryFace) -> bool:
     return inner.kind == INNER and outer.kind in (TOP, BOTTOM) and outer.at == inner.at
 
 
-def _is_adjacent(f: ElementaryFace, g: ElementaryFace) -> bool:
-    """Adjacency for a composable pair ``f: Q -> P``, ``g: P -> P'``: the
-    pair admits no commuting square, i.e. the map labelled like ``f`` cannot
-    be transported to a face of ``g``'s codomain."""
-    poset = enumerate_sub(g.codomain.ambient)
-    cand = poset.face_map(g.codomain_key, f.kind, f.at)
+def _is_adjacent(poset: SubPoset, f: ElementaryFace, g: ElementaryFace) -> bool:
+    """Adjacency for a composable pair ``f: Q -> P``, ``g: P -> P'`` of the
+    ambient's ``poset``: the pair admits no commuting square, i.e. the map
+    labelled like ``f`` cannot be transported to a face of ``g``'s codomain."""
+    cand = poset.face_map(g.codomain, f.kind, f.at)
     if cand is None:
         return True
-    back = poset.face_map(cand.domain.key, g.kind, g.at)
+    back = poset.face_map(cand.domain, g.kind, g.at)
     return back is None or back.domain.key != f.domain.key
 
 

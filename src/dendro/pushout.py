@@ -77,7 +77,7 @@ class PPContext:
         self.t_full_key = self.t_sub.top.key
         self.current: set[FaceKey] = set()
         self.steps: list[Step] = []
-        self.extension_sets: list[ExtensionSet] = []
+        self.extension_sets: list[ExtensionSet] | None = None  # kept only when collected
         self.phase = 0
 
     # -- projections -----------------------------------------------------
@@ -129,7 +129,8 @@ class PPContext:
         return self.phase - 1
 
     def run_filtration(self, es: ExtensionSet, ordr: EdgeOrder) -> None:
-        self.extension_sets.append(es)
+        if self.extension_sets is not None:
+            self.extension_sets.append(es)
         self.steps.extend(filtration_steps(es, ordr, phase=self.next_phase()))
         self.add_downset(es.poset, es.top)
 
@@ -284,8 +285,7 @@ def _sweep(ctx: PPContext, shuffles: list[Shuffle], fill, collect: list | None) 
     yet full to ``fill(sh, sub)``, which must exhaust it; then check that
     the steps reach the full tensor complex and replay the certificate.
     ``collect``, when given, receives every extension set built."""
-    if collect is not None:
-        ctx.extension_sets = collect
+    ctx.extension_sets = collect
     base = ctx.base_complex()
     ctx.current = set(base.members)
     for sh in shuffles:

@@ -129,8 +129,10 @@ class TestMalformedCertificates:
             lambda data: data.pop("steps"),
             lambda data: data["steps"][0].update(omit=5),
             lambda data: data.update(base="x"),
+            lambda data: data["ambient"].update(type="blah"),
+            lambda data: data["steps"][0].update(batch=[True]),
         ],
-        ids=["no-steps", "omit-int", "base-str"],
+        ids=["no-steps", "omit-int", "base-str", "ambient-type-unknown", "batch-bool"],
     )
     def test_bad_shape_exit_2(self, capsys, tmp_path, mangle):
         path = tmp_path / "cert.json"
