@@ -60,7 +60,9 @@ class ExtensionSet:
     Every member is resolved to the equal map of the ambient's poset, so
     ``members`` and every list read from the set hold the poset's own
     maps; a member that is not a cover of that poset raises
-    :class:`FaceError`.  ``Sub(T)`` is a poset, so a cover is named by the
+    :class:`FaceError`.  ``members`` is one tuple in ``_sig`` order, whatever
+    order they came in; the missing faces of the view are a mask, listed in
+    ``missing``.  ``Sub(T)`` is a poset, so a cover is named by the
     positions of its two ends: membership is a mask per codomain position,
     with one bit per member domain position, kept only for the codomains
     that have members."""
@@ -72,21 +74,18 @@ class ExtensionSet:
         self.poset: SubPoset = enumerate_sub(ambient)
         self.top = self.poset.top if top is None else top
         self.view = self.poset.downset_mask(self.top)
-        self.members = frozenset(_own_cover(self.poset, ef) for ef in members)
+        self.members = tuple(sorted({_own_cover(self.poset, ef) for ef in members}, key=_sig))
         for ef in self.members:
             if base.contains(ef.domain.key) or base.contains(ef.codomain_key):
                 raise FaceError(f"member {ef!r} touches a non-missing face")
-        self.missing: list[Face] = [
-            f for f in self.poset.faces_in(self.view) if not base.contains(f.key)
-        ]
-        self._missing = frozenset(f.pos for f in self.missing)
-        # the members in _sig order, and by position: the member mask of
-        # each codomain and the members into and out of each face
-        self._sorted = sorted(self.members, key=_sig)
+        self._missing_mask = _missing_mask(self.poset, base, self.view)
+        self.missing: list[Face] = self.poset.faces_in(self._missing_mask)
+        # by position: the member mask of each codomain and the members
+        # into and out of each face
         self._mask: dict[int, int] = {}
         self._faces_in: dict[int, list[ElementaryFace]] = {}
         self._exts_in: dict[int, list[ElementaryFace]] = {}
-        for ef in self._sorted:
+        for ef in self.members:
             c, d = ef.codomain.pos, ef.domain.pos
             self._mask[c] = self._mask.get(c, 0) | 1 << d
             self._faces_in.setdefault(c, []).append(ef)
@@ -95,9 +94,6 @@ class ExtensionSet:
     def extensions_of(self, p: Face | FaceKey) -> list[ElementaryFace]:
         """Elementary face maps out of ``p`` whose codomain lies in the view."""
         return [g for g in self.poset.extensions_of(p) if self.view >> g.codomain.pos & 1]
-
-    def is_missing(self, key: FaceKey) -> bool:
-        return self.poset.index.get(key) in self._missing
 
     def contains_map(self, ef: ElementaryFace) -> bool:
         """Whether the cover with ``ef``'s ends is a member: one mask test."""
@@ -122,21 +118,28 @@ def _own_cover(poset: SubPoset, ef: ElementaryFace) -> ElementaryFace:
     return own
 
 
-def missing_inner_covers(poset: SubPoset, base: FaceComplex) -> list[ElementaryFace]:
-    """The inner face maps of ``poset`` whose two ends are both missing
-    from ``base``; each inner extension set is a subset of these."""
-    return [
-        ef
-        for ef in poset.covers
-        if ef.kind == INNER
-        and not base.contains(ef.domain.key)
-        and not base.contains(ef.codomain_key)
-    ]
+def _missing_mask(poset: SubPoset, base: FaceComplex, view: int) -> int:
+    """The faces of the mask ``view`` missing from ``base``, as a mask."""
+    index = poset.index
+    return view & ~sum(1 << index[k] for k in base.members if k in index)
+
+
+def missing_covers(
+    poset: SubPoset, base: FaceComplex, top: Face | None = None
+) -> list[ElementaryFace]:
+    """The maps an extension set may hold: the covers into the faces of
+    the view of ``top`` (by default the full face) whose two ends are both
+    missing from ``base``.  Every extension-set builder filters these."""
+    view = poset.downset_mask(poset.top if top is None else top)
+    missing = _missing_mask(poset, base, view)
+    faces = poset.faces_in(missing)
+    return [ef for p in faces for ef in poset.faces_of(p) if missing >> ef.domain.pos & 1]
 
 
 def inner_extension_set(ambient: Tree, base: FaceComplex) -> ExtensionSet:
     """All inner face maps between missing faces (the Segal-core set)."""
-    return ExtensionSet(ambient, base, missing_inner_covers(enumerate_sub(ambient), base))
+    members = [ef for ef in missing_covers(enumerate_sub(ambient), base) if ef.kind == INNER]
+    return ExtensionSet(ambient, base, members)
 
 
 @dataclass
@@ -273,7 +276,7 @@ def _join_interval_failures(es: ExtensionSet) -> list[str]:
     outside: dict[int, int] = {}
     # per member domain: its extensions into the view
     view_exts: dict[int, list[ElementaryFace]] = {}
-    for f in es._sorted:
+    for f in es.members:
         exts = view_exts.get(f.domain.pos)
         if exts is None:
             exts = view_exts[f.domain.pos] = es.extensions_of(f.domain)
@@ -330,13 +333,13 @@ def canonical_extensions(
         best = min(ff, key=cmp)
         if min(es._exts_in[best.domain.pos], key=cmp) is best:
             pairs.append(best)
-    seen: set[int] = set()
+    seen = 0
     for ef in pairs:
         for face in (ef.domain, ef.codomain):
-            if face.pos in seen:
+            if seen >> face.pos & 1:
                 raise FaceError(f"canonical extensions are not disjoint at {face.key}")
-            seen.add(face.pos)
-    uncovered = [p for p in es.missing if p.pos not in seen]
+            seen |= 1 << face.pos
+    uncovered = es.poset.faces_in(es._missing_mask & ~seen)
     if uncovered:
         raise FaceError(
             f"missing faces not covered by canonical extensions: {uncovered[:3]!r}"
@@ -373,7 +376,7 @@ def _assert_descent(es: ExtensionSet, pairs: list[ElementaryFace]) -> None:
             if g is ef:
                 continue
             dg = g.domain
-            if dg.pos not in es._missing:
+            if not es._missing_mask >> dg.pos & 1:
                 continue
             transported = poset.face_map(dg, ef.kind, ef.at)
             if transported is not None and canonical_into.get(dg.pos) is transported:

@@ -49,19 +49,13 @@ def edge_order(t: PlanarTree) -> EdgeOrder:
 
 
 def compare_operations(ord: EdgeOrder, a: Operation, b: Operation) -> int:
-    """Compare operations by output first, then input lists sorted by the
-    edge order, lexicographically (shorter prefix first; the empty input
-    list is least)."""
-    ra, rb = ord.rank[a.output], ord.rank[b.output]
-    if ra != rb:
-        return LT if ra < rb else GT
-    xs, ys = ord.sorted(a.inputs), ord.sorted(b.inputs)
-    for x, y in zip(xs, ys):
-        if x != y:
-            return LT if ord.rank[x] < ord.rank[y] else GT
-    if len(xs) != len(ys):
-        return LT if len(xs) < len(ys) else GT
-    return EQ
+    """Compare operations by the key ``(rank of output, sorted input
+    ranks)``: output first, then the input lists lexicographically
+    (shorter prefix first; the empty input list is least)."""
+    rank = ord.rank
+    ka = (rank[a.output], sorted(map(rank.__getitem__, a.inputs)))
+    kb = (rank[b.output], sorted(map(rank.__getitem__, b.inputs)))
+    return (ka > kb) - (ka < kb)
 
 
 def compare_face_maps(ord: EdgeOrder, f: ElementaryFace, g: ElementaryFace) -> int:

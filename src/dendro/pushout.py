@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .anodyne import ExtensionSet, filtration_steps, missing_inner_covers
+from .anodyne import ExtensionSet, filtration_steps, missing_covers
 from .certify import Certificate, ReplayGuardError, Step, class_of_steps, replay_guard
 from .complexes import FaceComplex, TensorAmbient
 from .faces import (
@@ -191,10 +191,11 @@ def black_root_extension_set(sh: Shuffle, ctx: PPContext) -> ExtensionSet:
     sub = enumerate_sub(tr)
     base = ctx.local_base(sub, sub.top)
     members = []
-    for ef in missing_inner_covers(sub, base):
+    for ef in missing_covers(sub, base):
         s, x = split_name(ef.at)
-        if s == rs and x in xs and any(pair_name(l, x) in ef.codomain.edges for l in v_inputs):
-            members.append(ef)
+        if ef.kind == INNER and s == rs and x in xs:
+            if any(pair_name(l, x) in ef.codomain.edges for l in v_inputs):
+                members.append(ef)
     return ExtensionSet(tr, base, members)
 
 
@@ -254,24 +255,21 @@ def white_root_extension_set(
         return frozenset()
 
     members = []
-    for p in sub.downset(face):
-        for ef in sub.faces_of(p):
-            if base.contains(ef.codomain_key) or base.contains(ef.domain.key):
+    for ef in missing_covers(sub, base, face):
+        s, y = split_name(ef.at)
+        if s not in leaf_inputs:
+            continue
+        if ef.kind == INNER:
+            if y in top_colours:
+                members.append(ef)
+        elif ef.kind == TOP:
+            shape = top_shape(y)
+            if shape is None:
                 continue
-            s, y = split_name(ef.at)
-            if s not in leaf_inputs:
-                continue
-            if ef.kind == INNER:
-                if y in top_colours:
-                    members.append(ef)
-            elif ef.kind == TOP:
-                shape = top_shape(y)
-                if shape is None:
-                    continue
-                chopped = ef.codomain.vertex_inputs(ef.at)
-                want = frozenset(pair_name(s, c) for c in shape)
-                if chopped == want:
-                    members.append(ef)
+            chopped = ef.codomain.vertex_inputs(ef.at)
+            want = frozenset(pair_name(s, c) for c in shape)
+            if chopped == want:
+                members.append(ef)
     return ExtensionSet(face.ambient, base, members, face)
 
 
@@ -405,7 +403,8 @@ def certify_pp_inner(
     def fill(sh: Shuffle, sub: SubPoset) -> None:
         sites = {(e, x) for x in _white_vertex_sites(sh, below)}
         local = ctx.local_base(sub, sub.top)
-        members = [ef for ef in missing_inner_covers(sub, local) if split_name(ef.at) in sites]
+        covers = missing_covers(sub, local)
+        members = [ef for ef in covers if ef.kind == INNER and split_name(ef.at) in sites]
         ctx.run_filtration(ExtensionSet(sh.tree.tree, local, members), edge_order(sh.tree))
 
     return _sweep(ctx, ctx.tensor.poset.linearization(reverse=True), fill, collect)

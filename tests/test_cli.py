@@ -131,8 +131,9 @@ class TestMalformedCertificates:
             lambda data: data.update(base="x"),
             lambda data: data["ambient"].update(type="blah"),
             lambda data: data["steps"][0].update(batch=[True]),
+            lambda data: [step.update(batch=[7]) for step in data["steps"]],
         ],
-        ids=["no-steps", "omit-int", "base-str", "ambient-type-unknown", "batch-bool"],
+        ids=["no-steps", "omit-int", "base-str", "ambient-type-unknown", "batch-bool", "batch-short"],
     )
     def test_bad_shape_exit_2(self, capsys, tmp_path, mangle):
         path = tmp_path / "cert.json"
