@@ -104,17 +104,27 @@ class FaceComplex:
         return out
 
     def maximal_members(self) -> list[FaceKey]:
-        """Members not properly contained in another member.  A key outside
-        the ambient (a loaded base may hold one) lies below no face, so it
-        is maximal and kept verbatim."""
-        table = _universe_of(self.ambient)
-        faces = [table[k] for k in self.members if k in table]
-        by_rank = sorted(faces, key=lambda f: (-f.rank, f.key))
-        maximal: list[Face] = []
-        for f in by_rank:
-            if not any(_face_leq(f, m) for m in maximal):
-                maximal.append(f)
-        return sorted([m.key for m in maximal] + [k for k in self.members if k not in table])
+        """Members not properly contained in another member.  A member is
+        maximal when, in each poset that holds it, no other member's bit
+        lies in its upset; the faces of a face are the same in every poset
+        that holds it, so this is the face order.  A key outside the
+        ambient (a loaded base may hold one) lies below no face, so it is
+        maximal and kept verbatim."""
+        if isinstance(self.ambient, TensorAmbient):
+            posets = [self.ambient.sub(sh) for sh in self.ambient.poset]
+        else:
+            posets = [enumerate_sub(self.ambient)]
+        dominated = set()
+        for poset in posets:
+            mask = 0
+            for k in self.members:
+                i = poset.index.get(k)
+                if i is not None:
+                    mask |= 1 << i
+            for f in poset.faces_in(mask):
+                if poset.upset_mask(f) & mask != 1 << f.pos:
+                    dominated.add(f.key)
+        return sorted(k for k in self.members if k not in dominated)
 
     def is_closed(self) -> bool:
         table = _universe_of(self.ambient)
@@ -123,12 +133,6 @@ class FaceComplex:
                 if ef.domain.key not in self.members:
                     return False
         return True
-
-
-def _face_leq(a: Face, b: Face) -> bool:
-    """a <= b in the face order, read from the poset of b's ambient tree."""
-    sub = enumerate_sub(b.ambient)
-    return a.key in sub.index and sub.leq(a.key, b.key)
 
 
 def closure(ambient: Ambient, faces: Iterable[Face]) -> FaceComplex:

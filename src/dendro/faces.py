@@ -4,7 +4,8 @@ A face of an ambient tree is canonically keyed by a pair ``(edges, caps)``:
 the edge set of the subtree, and the subset of its maximal edges that carry
 a (possibly composite) stump.  A maximal edge outside ``caps`` is a leaf of
 the face.  Two faces are equal iff their keys coincide, regardless of which
-ambient object produced them.
+ambient object produced them.  Internally a face is a pair of masks over
+the ambient's edge bits (``Tree.bits``, one bit per edge in name order).
 
 Elementary face maps come in three kinds:
 
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .trees import Operation, Tree, is_operation
+from .trees import EdgeBits, Operation, Tree, is_operation
 
 FaceKey = tuple[tuple[str, ...], tuple[str, ...]]
 
@@ -38,59 +39,118 @@ def make_key(edges: Iterable[str], caps: Iterable[str]) -> FaceKey:
     return (tuple(sorted(edges)), tuple(sorted(caps)))
 
 
+def _indices(mask: int) -> Iterator[int]:
+    """The bit positions set in ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class Face:
     """A subtree of an ambient tree, identified by its ``(edges, caps)`` key.
 
-    The ambient tree supplies the partial order.  The root, the parent and
-    children of each edge, the key and the rank are computed once at
-    construction; ``maximal``, ``leaves`` and ``inner_edges`` are properties
-    derived from them on each call.  ``pos`` is the face's position in the
-    ``faces`` list of the :class:`SubPoset` that built it, and ``-1`` for a
-    face built outside a poset.
+    A face holds its ambient, key, rank and position, and the masks
+    ``edge_mask`` and ``cap_mask`` of its edges and caps in the ambient's
+    bit order (:class:`~dendro.trees.EdgeBits`, sorted by name, so the key
+    is read off the masks already sorted).  ``edges``, ``caps``, ``root``,
+    ``parent`` and ``children`` are derived from the masks on first read
+    and then cached; ``maximal``, ``leaves`` and ``inner_edges`` are
+    derived on each call.  ``pos`` is the face's position in the ``faces``
+    list of the :class:`SubPoset` that built it, and ``-1`` for a face
+    built outside a poset.
+
+    ``edges`` and ``caps`` are given as edge names, or as masks (the poset
+    build passes masks); either way the face is validated on its masks.
     """
 
-    __slots__ = ("ambient", "edges", "caps", "key", "root", "parent", "children", "rank", "pos")
+    __slots__ = (
+        "ambient", "key", "rank", "pos", "edge_mask", "cap_mask",
+        "_edges", "_caps", "_root", "_links",
+    )
 
-    def __init__(self, ambient: Tree, edges: Iterable[str], caps: Iterable[str] = ()):
-        edges = frozenset(edges)
-        caps = frozenset(caps)
-        if not edges <= ambient.edges:
-            raise FaceError(f"edges not in ambient tree: {sorted(edges - ambient.edges)}")
-        up = ambient.parent.get
-        parent: dict[str, str] = {}
-        children: dict[str, list[str]] = {e: [] for e in edges}
-        roots = []
-        for e in edges:
-            p = up(e)
-            while p is not None and p not in edges:
-                p = up(p)
-            if p is None:
-                roots.append(e)
-            else:
-                parent[e] = p
-                children[p].append(e)
+    def __init__(
+        self, ambient: Tree, edges: Iterable[str] | int, caps: Iterable[str] | int = ()
+    ):
+        bits = ambient.bits
+        names, above, below = bits.names, bits.above, bits.below
+        if not isinstance(edges, int):
+            edges, caps = _masks(bits, edges, caps)
+        elif edges >> len(names):
+            outside = list(_indices(edges >> len(names) << len(names)))
+            raise FaceError(f"edges not in ambient tree: bits {outside}")
+        roots, ids = [], []
+        rank = caps.bit_count()  # one vertex per cap...
+        m = edges
+        while m:
+            low = m & -m
+            i = low.bit_length() - 1
+            ids.append(i)
+            if not below[i] & edges:
+                roots.append(names[i])
+            if above[i] & edges:
+                rank += 1  # ...and one over each edge with inputs
+            m ^= low
         if len(roots) != 1:
-            raise FaceError(f"face must have a unique minimal edge, found {sorted(roots)}")
-        if not caps <= edges or any(children[c] for c in caps):
+            raise FaceError(f"face must have a unique minimal edge, found {roots}")
+        if caps and (caps & ~edges or any(above[c] & edges for c in _indices(caps))):
             raise FaceError("caps must be maximal edges of the face")
         self.ambient = ambient
-        self.edges = edges
-        self.caps = caps
-        self.key = make_key(edges, caps)
-        self.root = roots[0]
-        self.parent = parent
-        self.children = {
-            e: tuple(sorted(cs)) if len(cs) > 1 else tuple(cs) for e, cs in children.items()
-        }
-        # one vertex over each edge with inputs, and one per cap
-        self.rank = len(set(parent.values())) + len(caps)
+        cap_names = tuple([names[c] for c in _indices(caps)]) if caps else ()
+        self.key = (tuple([names[i] for i in ids]), cap_names)
+        self.rank = rank
         self.pos = -1
+        self.edge_mask = edges
+        self.cap_mask = caps
+        self._edges = self._caps = self._root = self._links = None
 
-    # -- structure -------------------------------------------------------
+    # -- structure, derived from the masks ------------------------------
+
+    @property
+    def edges(self) -> frozenset[str]:
+        if self._edges is None:
+            self._edges = frozenset(self.key[0])
+        return self._edges
+
+    @property
+    def caps(self) -> frozenset[str]:
+        if self._caps is None:
+            self._caps = frozenset(self.key[1])
+        return self._caps
+
+    @property
+    def root(self) -> str:
+        if self._root is None:
+            below, edges = self.ambient.bits.below, self.edge_mask
+            self._root = next(
+                e for i, e in zip(_indices(edges), self.key[0]) if not below[i] & edges
+            )
+        return self._root
+
+    @property
+    def parent(self) -> dict[str, str]:
+        """The parent in the face of each edge but the root."""
+        return self._derive_links()[0]
+
+    @property
+    def children(self) -> dict[str, tuple[str, ...]]:
+        """The children in the face of each edge, sorted."""
+        return self._derive_links()[1]
+
+    def _derive_links(self) -> tuple[dict[str, str], dict[str, tuple[str, ...]]]:
+        if self._links is None:
+            names = self.ambient.bits.names
+            ids, parent, kids = _face_links(self.ambient.bits, self.edge_mask)
+            self._links = (
+                {names[i]: names[parent[i]] for i in ids if parent[i] >= 0},
+                {names[i]: tuple([names[j] for j in _indices(kids[i])]) for i in ids},
+            )
+        return self._links
 
     @property
     def maximal(self) -> frozenset[str]:
-        return frozenset(e for e in self.edges if not self.children[e])
+        above, edges = self.ambient.bits.above, self.edge_mask
+        return frozenset(e for i, e in zip(_indices(edges), self.key[0]) if not above[i] & edges)
 
     @property
     def leaves(self) -> frozenset[str]:
@@ -107,7 +167,8 @@ class Face:
         return frozenset(self.children[e])
 
     def is_corolla(self) -> bool:
-        return self.rank == 1 and bool(self.children[self.root])
+        # one vertex, and it is not a cap on a lone edge
+        return self.rank == 1 and len(self.key[0]) > 1
 
     def as_tree(self) -> Tree:
         """The face as a standalone tree with the same edge names."""
@@ -122,8 +183,45 @@ class Face:
         return hash(self.key)
 
     def __repr__(self) -> str:
-        caps = "; caps " + ",".join(self.key[1]) if self.caps else ""
+        caps = "; caps " + ",".join(self.key[1]) if self.key[1] else ""
         return f"Face({','.join(self.key[0])}{caps})"
+
+
+def _masks(bits: EdgeBits, edges: Iterable[str], caps: Iterable[str]) -> tuple[int, int]:
+    """Edge names as masks.  A cap outside the ambient gets the bit past
+    the last edge, which no face has."""
+    index = bits.index
+    edges = frozenset(edges)
+    outside = edges.difference(index)
+    if outside:
+        raise FaceError(f"edges not in ambient tree: {sorted(outside)}")
+    edge_mask = cap_mask = 0
+    for e in edges:
+        edge_mask |= 1 << index[e]
+    for c in caps:
+        cap_mask |= 1 << index.get(c, len(index))
+    return edge_mask, cap_mask
+
+
+def _face_links(bits: EdgeBits, edges: int) -> tuple[list[int], list[int], list[int]]:
+    """The positions of the face's edges, lowest first, and by position the
+    parent in the face of each of them (-1 at its root) and the mask of its
+    children in the face."""
+    up = bits.parent
+    ids, parent, kids = [], [-1] * len(up), [0] * len(up)
+    m = edges
+    while m:
+        low = m & -m
+        i = low.bit_length() - 1
+        ids.append(i)
+        q = up[i]
+        while q >= 0 and not edges >> q & 1:
+            q = up[q]
+        if q >= 0:
+            parent[i] = q
+            kids[q] |= low
+        m ^= low
+    return ids, parent, kids
 
 
 def full_face(ambient: Tree) -> Face:
@@ -171,47 +269,55 @@ class ElementaryFace:
         return f"{self.kind}({self.at}): {self.domain!r} -> {self.codomain!r}"
 
 
-def _elementary_domains(p: Face) -> list[tuple[str, str, frozenset[str], frozenset[str]]]:
-    """The one rule for elementary faces: ``(kind, at, edges, caps)`` of the
-    domain of every elementary face map into ``p``, inner first, then top,
-    then bottom, each sorted by ``at``.
+def _elementary_domains(p: Face) -> list[tuple[str, str, int, int]]:
+    """The one rule for elementary faces: ``(kind, at, edge_mask, cap_mask)``
+    of the domain of every elementary face map into ``p``, inner first, then
+    top, then bottom, each sorted by ``at``.
 
     Every inner edge contributes a contraction (a contracted cap moves its
     stump down to a parent left without inputs), every top vertex and every
     cap a top face, and the root vertex one bottom face per admissible kept
     input: every input of a corolla, else the unique non-leaf input when all
-    other inputs are leaves.
+    other inputs are leaves.  Bit order is name order, so reading edges from
+    the low bit up sorts each kind by ``at``.
     """
-    edges, caps, children, root = p.edges, p.caps, p.children, p.root
-    leaves = {e for e, cs in children.items() if not cs} - caps
+    bits = p.ambient.bits
+    names = bits.names
+    edges, caps = p.edge_mask, p.cap_mask
+    ids, parent, kids = _face_links(bits, edges)
+    leaves, root = 0, -1
+    for i in ids:
+        if not kids[i]:
+            leaves |= 1 << i
+        if parent[i] < 0:
+            root = i
+    leaves &= ~caps
     inner, top = [], []
-    for e in sorted(edges):
-        if e in leaves:
+    for i in ids:
+        b = 1 << i
+        if leaves & b:
             continue
-        if e in caps:
-            top.append((TOP, e, edges, caps - {e}))
-        elif leaves.issuperset(children[e]):
-            top.append((TOP, e, edges.difference(children[e]), caps))
-        if e != root:
+        at = names[i]
+        if caps & b:
+            top.append((TOP, at, edges, caps ^ b))
+        elif not kids[i] & ~leaves:
+            top.append((TOP, at, edges ^ kids[i], caps))
+        if i != root:
             low = caps
-            if e in caps:
-                low = caps - {e}
-                if children[p.parent[e]] == (e,):
-                    low = low | {p.parent[e]}
-            inner.append((INNER, e, edges - {e}, low))
+            if caps & b:
+                low ^= b
+                if kids[parent[i]] == b:
+                    low |= 1 << parent[i]
+            inner.append((INNER, at, edges ^ b, low))
     out = inner + top
-    root_inputs = children[root]
     if p.is_corolla():
-        out.extend((BOTTOM, e, frozenset((e,)), frozenset()) for e in root_inputs)
+        out.extend((BOTTOM, names[j], 1 << j, 0) for j in _indices(kids[root]))
     else:
-        non_leaf = [e for e in root_inputs if e not in leaves]
-        if len(non_leaf) == 1:
-            at = non_leaf[0]
-            above = [at]
-            for e in above:
-                above.extend(children[e])
-            kept = frozenset(above)
-            out.append((BOTTOM, at, kept, caps & kept))
+        non_leaf = kids[root] & ~leaves
+        if non_leaf and not non_leaf & (non_leaf - 1):
+            j = non_leaf.bit_length() - 1
+            kept = bits.above[j] & edges | non_leaf
+            out.append((BOTTOM, names[j], kept, caps & kept))
     return out
 
 
@@ -345,8 +451,12 @@ class SubPoset:
     """``Sub(T)``: all faces of a tree, graded by rank, with cover maps.
 
     Built as the closure of the full face under the one elementary-face
-    rule, :func:`_elementary_domains`: each face is built once, and every
-    cover's ``domain`` is the poset's own :class:`Face`.  Provides
+    rule, :func:`_elementary_domains`, which works on edge and cap masks:
+    each domain is looked up by one int (its edge mask with its cap mask
+    above it), each face is built once, by ``Face.__init__`` from its masks,
+    and every cover's ``domain`` is the poset's own :class:`Face`.  A face
+    built here holds only its key, rank, position and masks until its
+    structure is read.  Provides
     downset/upset bitmasks for fast order queries.  The faces of a face
     ``F`` are the faces below ``F`` here, with the same keys, so a set over
     ``F`` is the downset view ``downset_mask(F)`` of this poset.
@@ -361,16 +471,18 @@ class SubPoset:
     def __init__(self, ambient: Tree):
         self.ambient = ambient
         top = full_face(ambient)
-        by_pair: dict[tuple[frozenset[str], frozenset[str]], Face] = {(top.edges, top.caps): top}
+        # a face's one int: its edge mask, with its cap mask above it
+        shift = len(ambient.bits.names)
+        by_mask: dict[int, Face] = {top.edge_mask | top.cap_mask << shift: top}
         self._faces_of: dict[FaceKey, list[ElementaryFace]] = {}
         queue = [top]
         while queue:
             p = queue.pop()
             maps = []
             for kind, at, edges, caps in _elementary_domains(p):
-                domain = by_pair.get((edges, caps))
+                domain = by_mask.get(edges | caps << shift)
                 if domain is None:
-                    domain = by_pair[edges, caps] = Face(ambient, edges, caps)
+                    domain = by_mask[edges | caps << shift] = Face(ambient, edges, caps)
                     queue.append(domain)
                 maps.append(ElementaryFace(kind, at, domain, p))
             # the rule emits the bottom maps last; (kind, at) order puts them first
@@ -378,33 +490,36 @@ class SubPoset:
             while i and maps[i - 1].kind == BOTTOM:
                 i -= 1
             self._faces_of[p.key] = maps[i:] + maps[:i]
-        self.faces: list[Face] = sorted(by_pair.values(), key=lambda f: (f.rank, f.key))
+        self.faces: list[Face] = sorted(by_mask.values(), key=lambda f: (f.rank, f.key))
         self.index: dict[FaceKey, int] = {}
         for i, f in enumerate(self.faces):
             f.pos = i
             self.index[f.key] = i
         self.top = top
+        # the maps into and out of each face, by position
+        into = [self._faces_of[f.key] for f in self.faces]
+        out_of: list[list[ElementaryFace]] = [[] for _ in into]
         self.covers: list[ElementaryFace] = []
-        self._extensions_of: dict[FaceKey, list[ElementaryFace]] = {
-            f.key: [] for f in self.faces
-        }
         for key in sorted(self._faces_of):
             for ef in self._faces_of[key]:
                 self.covers.append(ef)
-                self._extensions_of[ef.domain.key].append(ef)
+                out_of[ef.domain.pos].append(ef)
+        self._extensions_of: dict[FaceKey, list[ElementaryFace]] = {
+            f.key: out_of[i] for i, f in enumerate(self.faces)
+        }
         # downsets and upsets as bitmasks, computed along the rank grading
-        self._down: list[int] = [0] * len(self.faces)
-        for i, f in enumerate(self.faces):
+        down = self._down = [0] * len(into)
+        for i, efs in enumerate(into):
             mask = 1 << i
-            for ef in self._faces_of[f.key]:
-                mask |= self._down[ef.domain.pos]
-            self._down[i] = mask
-        self._up: list[int] = [0] * len(self.faces)
-        for i in reversed(range(len(self.faces))):
+            for ef in efs:
+                mask |= down[ef.domain.pos]
+            down[i] = mask
+        up = self._up = [0] * len(into)
+        for i in reversed(range(len(into))):
             mask = 1 << i
-            for ef in self._extensions_of[self.faces[i].key]:
-                mask |= self._up[ef.codomain.pos]
-            self._up[i] = mask
+            for ef in out_of[i]:
+                mask |= up[ef.codomain.pos]
+            up[i] = mask
 
     def __len__(self) -> int:
         return len(self.faces)

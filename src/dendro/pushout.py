@@ -86,9 +86,9 @@ class PPContext:
         """Projection of a tensor face to one side, with cap bookkeeping:
         a cap forces dead branches on this side only when the partner tree
         still has a leaf above its coordinate."""
-        cols = {split_name(e)[side] for e in face.edges}
+        cols = {split_name(e)[side] for e in face.key[0]}
         hard = set()
-        for e in face.caps:
+        for e in face.key[1]:
             mine, other = split_name(e)[side], split_name(e)[1 - side]
             if any(partner.leq(other, l) for l in partner.leaves):
                 hard.add(mine)

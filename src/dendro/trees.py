@@ -37,7 +37,7 @@ class Tree:
     when a semantic input order is required.
     """
 
-    __slots__ = ("edges", "parent", "leaves", "root", "children", "_depth", "_hash")
+    __slots__ = ("edges", "parent", "leaves", "root", "children", "_depth", "_hash", "_bits")
 
     def __init__(self, edges: Iterable[str], parent: Mapping[str, str], leaves: Iterable[str]):
         edges = frozenset(edges)
@@ -75,6 +75,7 @@ class Tree:
         self.children = {e: tuple(sorted(cs)) for e, cs in children.items()}
         self._depth = depth
         self._hash = hash((edges, leaves, tuple(sorted(parent.items()))))
+        self._bits: EdgeBits | None = None
 
     # -- basic queries -------------------------------------------------
 
@@ -115,6 +116,13 @@ class Tree:
             db -= 1
         return a == b
 
+    @property
+    def bits(self) -> EdgeBits:
+        """The edges as bit positions, built on first use."""
+        if self._bits is None:
+            self._bits = EdgeBits(self)
+        return self._bits
+
     def branch(self, e: str) -> tuple[str, ...]:
         """Edges from the root up to ``e``, inclusive."""
         out = []
@@ -141,6 +149,35 @@ class Tree:
 
     def __repr__(self) -> str:
         return f"Tree({render_tree(self)!r})"
+
+
+class EdgeBits:
+    """A tree's edges as bit positions, in sorted-name order.
+
+    Edge ``names[i]`` is the bit ``1 << i``, so the edges of a mask read
+    from the low bit up come out sorted.  ``parent[i]`` is the position of
+    the parent edge (-1 at the root); ``above[i]`` and ``below[i]`` are the
+    masks of the edges strictly above and strictly below edge ``i``.
+    """
+
+    __slots__ = ("names", "index", "parent", "above", "below")
+
+    def __init__(self, tree: Tree):
+        names = tuple(sorted(tree.edges))
+        index = {e: i for i, e in enumerate(names)}
+        parent = tuple(index[tree.parent[e]] if e in tree.parent else -1 for e in names)
+        above, below = [0] * len(names), [0] * len(names)
+        for i in range(len(names)):
+            q = parent[i]
+            while q >= 0:
+                below[i] |= 1 << q
+                above[q] |= 1 << i
+                q = parent[q]
+        self.names = names
+        self.index = index
+        self.parent = parent
+        self.above = tuple(above)
+        self.below = tuple(below)
 
 
 @dataclass(frozen=True)

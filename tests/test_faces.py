@@ -60,6 +60,30 @@ class TestFaceBasics:
         with pytest.raises(FaceError):
             Face(t, {"a", "d"})  # two minimal edges
 
+    @pytest.mark.parametrize(
+        "edges, caps, message",
+        [
+            ({"r", "zz", "yy"}, (), "edges not in ambient tree: ['yy', 'zz']"),
+            ((), (), "face must have a unique minimal edge, found []"),
+            ({"a", "d", "f"}, (), "face must have a unique minimal edge, found ['a', 'd', 'f']"),
+            ({"r", "e", "a", "b"}, {"e"}, "caps must be maximal edges of the face"),
+            ({"r", "c", "d"}, {"f"}, "caps must be maximal edges of the face"),
+            ({"r", "c", "d"}, {"zz"}, "caps must be maximal edges of the face"),
+        ],
+        ids=[
+            "edge outside",
+            "no edges",
+            "three minimal edges",
+            "cap below",
+            "cap outside",
+            "cap outside the ambient",
+        ],
+    )
+    def test_invalid_face_messages(self, edges, caps, message):
+        with pytest.raises(FaceError) as err:
+            Face(tree(EXAMPLE), edges, caps)
+        assert str(err.value) == message
+
 
 class TestElementaryFaces:
     def test_unit_face_has_none(self):

@@ -2,12 +2,14 @@
 
 ``perfbench/layertrace.py`` patches public functions and methods by name;
 a rename of a wrapped name would otherwise break only ``--trace 1`` runs.
+Its face count wraps ``Face.__init__``, so a poset build must make every
+face through it.
 """
 
 import importlib.util
 from pathlib import Path
 
-from dendro import anodyne, pushout
+from dendro import anodyne, faces, pushout
 from dendro.anodyne import segal_certificate
 from dendro.pushout import certify_pp_inner
 from dendro.trees import parse_tree as p
@@ -41,3 +43,16 @@ def test_tracer_wraps_and_restores():
     assert calls["pushout.local_base"] > 0
     assert calls["anodyne.check_axioms"] > 0
     assert tracer.counts["members"] > 0
+
+
+def test_trace_counts_one_face_object_per_poset_face(monkeypatch):
+    # a poset build that made its faces without Face.__init__ would show
+    # fewer face objects than poset faces here
+    monkeypatch.setattr(faces, "_sub_cache", {})
+    tracer = _layertrace().Tracer()
+    tracer.install()
+    try:
+        segal_certificate(p("r[c[] d e[a b] f]"))
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["face_objects"] == tracer.counts["sub_faces"] == 18

@@ -12,7 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dendro import faces
-from dendro.faces import BOTTOM, Face, all_elementary_faces, all_valid_face_keys, enumerate_sub
+from dendro.faces import (
+    BOTTOM,
+    Face,
+    all_elementary_faces,
+    all_valid_face_keys,
+    enumerate_sub,
+    make_key,
+)
 from dendro.trees import parse_tree
 
 MAX_VERTICES = 6
@@ -60,3 +67,41 @@ def test_cold_sub_is_the_oracle_with_rule_ordered_maps(pt):
         bottoms = [ef for ef in rule if ef.kind == BOTTOM]
         assert got == bottoms + [ef for ef in rule if ef.kind != BOTTOM], f
         assert got == sorted(got, key=lambda ef: (ef.kind, ef.at)), f
+
+
+def reference_structure(ambient, edge_mask, cap_mask):
+    """``(edges, caps, root, parent, children, rank)`` of a face, derived
+    eagerly from its masks as the earlier ``Face`` built them from names."""
+    names = sorted(ambient.edges)
+    edges = frozenset(e for i, e in enumerate(names) if edge_mask >> i & 1)
+    caps = frozenset(e for i, e in enumerate(names) if cap_mask >> i & 1)
+    parent, children, roots = {}, {e: [] for e in edges}, []
+    for e in edges:
+        q = ambient.parent.get(e)
+        while q is not None and q not in edges:
+            q = ambient.parent.get(q)
+        if q is None:
+            roots.append(e)
+        else:
+            parent[e] = q
+            children[q].append(e)
+    rank = len(set(parent.values())) + len(caps)
+    children = {e: tuple(sorted(cs)) for e, cs in children.items()}
+    return edges, caps, roots[0], parent, children, rank
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(planar_trees())
+def test_lazy_fields_match_an_eager_derivation(pt):
+    ambient = pt.tree
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(faces, "_sub_cache", {})
+        poset = enumerate_sub(ambient)
+    for f in poset:
+        want = reference_structure(ambient, f.edge_mask, f.cap_mask)
+        assert (f.edges, f.caps, f.root, f.parent, f.children, f.rank) == want, f
+        edges, caps, root, _, children, rank = want
+        assert f.key == make_key(edges, caps)
+        maximal = {e for e in edges if not children[e]}
+        assert (f.maximal, f.leaves) == (maximal, maximal - caps), f
+        assert f.is_corolla() == (rank == 1 and bool(children[root])), f
