@@ -110,7 +110,7 @@ class ExtensionSet:
 def _own_cover(poset: SubPoset, ef: ElementaryFace) -> ElementaryFace:
     """The cover of ``poset`` equal to ``ef``; :class:`FaceError` if none."""
     try:
-        own = poset.face_map(ef.codomain_key, ef.kind, ef.at)
+        own = poset.face_map(ef.codomain, ef.kind, ef.at)
     except KeyError:  # the codomain is not a face of the poset
         own = None
     if own is None or own.domain.key != ef.domain.key:
@@ -238,12 +238,10 @@ def check_axioms(es: ExtensionSet) -> AxiomReport:
                     continue
                 if _is_mixed(f, g) or _is_mixed(g, f):
                     continue
-                g_low = poset.face_map(f.domain, g.kind, g.at)
-                if g_low is None:
+                sides = poset.square(f, g)
+                if sides is None:
                     continue
-                f_low = poset.face_map(g.domain, f.kind, f.at)
-                if f_low is None or f_low.domain is not g_low.domain:
-                    continue
+                f_low, g_low = sides
                 corner = g_low.domain.pos
                 got = (low_masks[j] >> corner & 1, f_in, low_masks[i] >> corner & 1, g_in)
                 if (got[0] or got[1]) and (got[2] or got[3]) and not all(got):

@@ -110,7 +110,11 @@ class Certificate:
 
     @staticmethod
     def loads(text: str) -> "Certificate":
-        return Certificate.from_json(json.loads(text))
+        try:
+            data = json.loads(text)
+        except RecursionError:
+            raise MalformedCertificateError("JSON nested too deeply") from None
+        return Certificate.from_json(data)
 
 
 def class_of_steps(steps: Sequence[Step]) -> str:
@@ -146,31 +150,22 @@ def replay_certificate(cert: Certificate) -> Verdict:
         if face.key in current:
             return Verdict(False, i, f"step face {step.face} already present")
         poset = enumerate_sub(face.ambient)
-        omit = poset.face_map(face.key, step.omit_kind, step.omit_at)
+        omit = poset.face_map(face, step.omit_kind, step.omit_at)
         if omit is None:
-            return Verdict(
-                False, i, f"omitted face {step.omit_kind}({step.omit_at}) not found"
-            )
+            return Verdict(False, i, f"omitted face {step.omit_kind}({step.omit_at}) not found")
         if omit.domain.key in current:
             return Verdict(False, i, f"omitted face {omit.domain.key} already present")
         # all_elementary_faces order (inner, top, bottom), which the poset
         # sorts bottom first: "horn incomplete" names the first missing face
-        for ef in sorted(poset.faces_of(face.key), key=lambda ef: ef.kind == BOTTOM):
+        for ef in sorted(poset.faces_of(face), key=lambda ef: ef.kind == BOTTOM):
             if ef is not omit and ef.domain.key not in current:
-                return Verdict(
-                    False,
-                    i,
-                    f"horn incomplete: face {ef.kind}({ef.at}) of {step.face} missing",
-                )
-        for ef in poset.faces_of(omit.domain.key):
+                missing = f"face {ef.kind}({ef.at}) of {step.face} missing"
+                return Verdict(False, i, f"horn incomplete: {missing}")
+        for ef in poset.faces_of(omit.domain):
             if ef.domain.key not in current:
-                return Verdict(
-                    False,
-                    i,
-                    f"closure broken: face of the omitted face missing at step {i}",
-                )
-        current.add(face.key)
-        current.add(omit.domain.key)
+                reason = f"closure broken: face of the omitted face missing at step {i}"
+                return Verdict(False, i, reason)
+        current.update((face.key, omit.domain.key))
     if current != keys:
         return Verdict(False, None, "final complex is not the full complex")
     expected = class_of_steps(cert.steps)

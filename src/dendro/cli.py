@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success or certificate accepted, 1 verification failed,
-2 parse, usage or malformed-certificate error, 3 precondition violation
-(inadmissible pair, missing edge or vertex).
+2 parse, usage or malformed-certificate error or an unreadable file,
+3 precondition violation (inadmissible pair, missing edge or vertex).
 """
 
 from __future__ import annotations
@@ -209,10 +209,10 @@ def run(argv=None) -> int:
     except (TreeError, FaceError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
-    except (json.JSONDecodeError, MalformedCertificateError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, MalformedCertificateError) as exc:
         sys.stderr.write(f"malformed certificate: {exc}\n")
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         sys.stderr.write(f"{exc}\n")
         return 2
 

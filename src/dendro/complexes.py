@@ -129,7 +129,7 @@ class FaceComplex:
     def is_closed(self) -> bool:
         table = _universe_of(self.ambient)
         for k in self.members:
-            for ef in enumerate_sub(table[k].ambient).faces_of(k):
+            for ef in enumerate_sub(table[k].ambient).faces_of(table[k]):
                 if ef.domain.key not in self.members:
                     return False
         return True
@@ -140,7 +140,7 @@ def closure(ambient: Ambient, faces: Iterable[Face]) -> FaceComplex:
     downset masks in the poset of each ambient tree, read back once."""
     masks: dict[Tree, int] = {}
     for f in faces:
-        masks[f.ambient] = masks.get(f.ambient, 0) | enumerate_sub(f.ambient).downset_mask(f.key)
+        masks[f.ambient] = masks.get(f.ambient, 0) | enumerate_sub(f.ambient).downset_mask(f)
     members = frozenset(
         f.key for tree, mask in masks.items() for f in enumerate_sub(tree).faces_in(mask)
     )

@@ -16,6 +16,7 @@ Elementary face maps come in three kinds:
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable, Iterator
 
 from .trees import EdgeBits, Operation, Tree, is_operation
@@ -451,75 +452,70 @@ class SubPoset:
     """``Sub(T)``: all faces of a tree, graded by rank, with cover maps.
 
     Built as the closure of the full face under the one elementary-face
-    rule, :func:`_elementary_domains`, which works on edge and cap masks:
-    each domain is looked up by one int (its edge mask with its cap mask
-    above it), each face is built once, by ``Face.__init__`` from its masks,
-    and every cover's ``domain`` is the poset's own :class:`Face`.  A face
-    built here holds only its key, rank, position and masks until its
-    structure is read.  Provides
-    downset/upset bitmasks for fast order queries.  The faces of a face
-    ``F`` are the faces below ``F`` here, with the same keys, so a set over
-    ``F`` is the downset view ``downset_mask(F)`` of this poset.
+    rule, :func:`_elementary_domains`, on edge and cap masks: each domain is
+    looked up by one int, each face is built once by ``Face.__init__``, and
+    every map's ends are the poset's own faces.  The faces of a face ``F``
+    are the faces below ``F`` here, so a set over ``F`` is the downset view
+    ``downset_mask(F)`` of this poset.
 
-    The build sorts no map list, yet guarantees three orders: each
-    ``faces_of`` list is by ``(kind, at)`` (bottom, inner, top); ``covers``
-    is by codomain key, then ``(kind, at)``; each ``extensions_of`` list is
-    by codomain key.  ``faces`` is by ``(rank, key)``, and each face's
-    ``pos`` is its index there, the same int that ``index`` holds.
+    ``faces`` is by ``(rank, key)``, and each face's ``pos`` is its index
+    there.  All else is stored by position: the maps into each face
+    (``faces_of``, by ``(kind, at)``: bottom, inner, top), the maps out of
+    it (``extensions_of``, by codomain key, since their codomains share one
+    rank), and its downset and upset as bitmasks.  ``index``, the one table
+    keyed by face key, is read by :meth:`_pos`, the one place that resolves
+    a ``Face | FaceKey`` argument, only for a face not the poset's own.
+    ``covers`` is derived on first read, by codomain key, then ``(kind, at)``.
     """
 
     def __init__(self, ambient: Tree):
         self.ambient = ambient
-        top = full_face(ambient)
+        top = self.top = full_face(ambient)
         # a face's one int: its edge mask, with its cap mask above it
         shift = len(ambient.bits.names)
         by_mask: dict[int, Face] = {top.edge_mask | top.cap_mask << shift: top}
-        self._faces_of: dict[FaceKey, list[ElementaryFace]] = {}
-        queue = [top]
-        while queue:
-            p = queue.pop()
+        found, into = [top], []
+        for p in found:
             maps = []
             for kind, at, edges, caps in _elementary_domains(p):
                 domain = by_mask.get(edges | caps << shift)
                 if domain is None:
                     domain = by_mask[edges | caps << shift] = Face(ambient, edges, caps)
-                    queue.append(domain)
+                    found.append(domain)
                 maps.append(ElementaryFace(kind, at, domain, p))
             # the rule emits the bottom maps last; (kind, at) order puts them first
             i = len(maps)
             while i and maps[i - 1].kind == BOTTOM:
                 i -= 1
-            self._faces_of[p.key] = maps[i:] + maps[:i]
-        self.faces: list[Face] = sorted(by_mask.values(), key=lambda f: (f.rank, f.key))
+            into.append(maps[i:] + maps[:i])
+        order = sorted(range(len(found)), key=lambda k: (found[k].rank, found[k].key))
+        self.faces: list[Face] = [found[k] for k in order]
+        self._into: list[list[ElementaryFace]] = [into[k] for k in order]
         self.index: dict[FaceKey, int] = {}
         for i, f in enumerate(self.faces):
             f.pos = i
             self.index[f.key] = i
-        self.top = top
-        # the maps into and out of each face, by position
-        into = [self._faces_of[f.key] for f in self.faces]
-        out_of: list[list[ElementaryFace]] = [[] for _ in into]
-        self.covers: list[ElementaryFace] = []
-        for key in sorted(self._faces_of):
-            for ef in self._faces_of[key]:
-                self.covers.append(ef)
-                out_of[ef.domain.pos].append(ef)
-        self._extensions_of: dict[FaceKey, list[ElementaryFace]] = {
-            f.key: out_of[i] for i, f in enumerate(self.faces)
-        }
-        # downsets and upsets as bitmasks, computed along the rank grading
-        down = self._down = [0] * len(into)
-        for i, efs in enumerate(into):
+        # the maps out of each face, and downsets and upsets as bitmasks,
+        # computed along the rank grading
+        out = self._out = [[] for _ in order]
+        down = self._down = [0] * len(order)
+        for i, efs in enumerate(self._into):
             mask = 1 << i
             for ef in efs:
                 mask |= down[ef.domain.pos]
+                out[ef.domain.pos].append(ef)
             down[i] = mask
-        up = self._up = [0] * len(into)
-        for i in reversed(range(len(into))):
+        up = self._up = [0] * len(order)
+        for i in reversed(range(len(order))):
             mask = 1 << i
-            for ef in out_of[i]:
+            for ef in out[i]:
                 mask |= up[ef.codomain.pos]
             up[i] = mask
+
+    @functools.cached_property
+    def covers(self) -> list[ElementaryFace]:
+        order = sorted(range(len(self.faces)), key=lambda i: self.faces[i].key)
+        return [ef for i in order for ef in self._into[i]]
 
     def __len__(self) -> int:
         return len(self.faces)
@@ -528,8 +524,7 @@ class SubPoset:
         return iter(self.faces)
 
     def __contains__(self, face: Face | FaceKey) -> bool:
-        key = face.key if isinstance(face, Face) else face
-        return key in self.index
+        return (face.key if isinstance(face, Face) else face) in self.index
 
     def _pos(self, p: Face | FaceKey) -> int:
         """The position of ``p`` in ``faces``: read off one of the poset's
@@ -549,11 +544,11 @@ class SubPoset:
 
     def faces_of(self, p: Face | FaceKey) -> list[ElementaryFace]:
         """Elementary face maps into ``p``."""
-        return self._faces_of[p.key if isinstance(p, Face) else p]
+        return self._into[self._pos(p)]
 
     def extensions_of(self, p: Face | FaceKey) -> list[ElementaryFace]:
         """Elementary face maps out of ``p`` (codimension-one extensions)."""
-        return self._extensions_of[p.key if isinstance(p, Face) else p]
+        return self._out[self._pos(p)]
 
     def leq(self, a: Face | FaceKey, b: Face | FaceKey) -> bool:
         return bool(self._down[self._pos(b)] >> self._pos(a) & 1)
@@ -604,9 +599,23 @@ class SubPoset:
     def face_map(self, p: Face | FaceKey, kind: str, at: str) -> ElementaryFace | None:
         """The elementary face map ``kind(at)`` into ``p``, if ``p`` has one
         (a face has at most one map per label)."""
-        for ef in self._faces_of[p.key if isinstance(p, Face) else p]:
+        for ef in self._into[self._pos(p)]:
             if ef.kind == kind and ef.at == at:
                 return ef
+        return None
+
+    def square(
+        self, f: ElementaryFace, g: ElementaryFace
+    ) -> tuple[ElementaryFace, ElementaryFace] | None:
+        """The lower sides ``(f_low, g_low)`` of the commuting square on two
+        faces ``f`` and ``g`` of one face: ``f_low`` is labelled like ``f``
+        and lands in ``g``'s domain, ``g_low`` is labelled like ``g`` and
+        lands in ``f``'s, and both leave one corner.  ``None`` when a side
+        is missing or the two sides leave different faces."""
+        g_low = self.face_map(f.domain, g.kind, g.at)
+        f_low = g_low and self.face_map(g.domain, f.kind, f.at)
+        if f_low and f_low.domain is g_low.domain:
+            return f_low, g_low
         return None
 
 
@@ -671,12 +680,10 @@ def _is_mixed(inner: ElementaryFace, outer: ElementaryFace) -> bool:
 def _is_adjacent(poset: SubPoset, f: ElementaryFace, g: ElementaryFace) -> bool:
     """Adjacency for a composable pair ``f: Q -> P``, ``g: P -> P'`` of the
     ambient's ``poset``: the pair admits no commuting square, i.e. the map
-    labelled like ``f`` cannot be transported to a face of ``g``'s codomain."""
+    labelled like ``f`` is no face of ``g``'s codomain, or has no square
+    with ``g``."""
     cand = poset.face_map(g.codomain, f.kind, f.at)
-    if cand is None:
-        return True
-    back = poset.face_map(cand.domain, g.kind, g.at)
-    return back is None or back.domain.key != f.domain.key
+    return cand is None or poset.square(cand, g) is None
 
 
 def commute_square(
@@ -695,13 +702,10 @@ def commute_square(
         raise FaceError("squares need a face with at least two vertices")
     if classify_pair(f, g, mode="faces") == MIXED:
         raise MixedPairError(f"{f.kind}({f.at}) and {g.kind}({g.at}) form a mixed pair")
-    fg = apply_elementary_face(f.domain, g.kind, g.at)
-    gf = apply_elementary_face(g.domain, f.kind, f.at)
-    if fg.key != gf.key:
+    sides = enumerate_sub(p.ambient).square(f, g)
+    if sides is None:
         raise FaceError("dendroidal relation failed; pair does not commute")
-    g_low = ElementaryFace(g.kind, g.at, fg, f.domain)
-    f_low = ElementaryFace(f.kind, f.at, fg, g.domain)
-    return fg, f_low, g_low, f, g
+    return sides[1].domain, *sides, f, g
 
 
 def join_faces(

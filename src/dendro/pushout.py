@@ -36,7 +36,6 @@ from .faces import (
     FaceError,
     FaceKey,
     SubPoset,
-    apply_elementary_face,
     enumerate_sub,
     make_key,
 )
@@ -72,8 +71,11 @@ class PPContext:
         self.tensor = TensorAmbient(s_tree, t_tree)
         self.s_sub = enumerate_sub(S)
         self.t_sub = enumerate_sub(t_tree.tree)
-        omitted = apply_elementary_face(self.s_sub.top, *omit_site)
-        self.s_excluded = {self.s_sub.top.key, omitted.key}
+        kind, at = omit_site
+        omitted = self.s_sub.face_map(self.s_sub.top, kind, at)
+        if omitted is None:
+            raise FaceError(f"{self.s_sub.top!r} has no elementary face {kind}({at})")
+        self.s_excluded = {self.s_sub.top.key, omitted.domain.key}
         self.t_full_key = self.t_sub.top.key
         self.current: set[FaceKey] = set()
         self.steps: list[Step] = []

@@ -201,3 +201,31 @@ class TestFacesOutsideTheAmbient:
         code, err = self.verify_mangled(capsys, tmp_path, round_trip)
         assert code == 1
         assert err == "rejected: base contains keys outside the ambient\n"
+
+
+class TestUnreadableInput:
+    """A file that cannot be read, or read as certificate JSON, exits 2
+    without a traceback."""
+
+    def check_exit_2(self, capsys, argv):
+        capture(capsys)
+        assert run(argv) == 2
+        _, err = capture(capsys)
+        assert "Traceback" not in err
+        return err
+
+    def test_verify_a_directory(self, capsys, tmp_path):
+        self.check_exit_2(capsys, ["verify", str(tmp_path)])
+
+    def test_verify_a_file_that_is_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "cert.json"
+        path.write_bytes(b'{"ambient": "\xff\xfe"}')
+        assert self.check_exit_2(capsys, ["verify", str(path)]).startswith("malformed certificate:")
+
+    def test_verify_deeply_nested_json(self, capsys, tmp_path):
+        path = tmp_path / "cert.json"
+        path.write_text("[" * 200000 + "]" * 200000)
+        assert self.check_exit_2(capsys, ["verify", str(path)]).startswith("malformed certificate:")
+
+    def test_segal_cert_out_to_a_directory(self, capsys, tmp_path):
+        self.check_exit_2(capsys, ["segal-cert", "--t", "a[b[c]]", "--out", str(tmp_path)])

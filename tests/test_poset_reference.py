@@ -89,21 +89,21 @@ def reference_build(ambient):
     self.top = top
     covers.sort(key=lambda ef: (ef.codomain_key, ef.kind, ef.at))
     self.covers = covers
-    self._faces_of = {f.key: [] for f in self.faces}
-    self._extensions_of = {f.key: [] for f in self.faces}
+    self._into = [[] for f in self.faces]
+    self._out = [[] for f in self.faces]
     for ef in self.covers:
-        self._faces_of[ef.codomain_key].append(ef)
-        self._extensions_of[ef.domain.key].append(ef)
+        self._into[self.index[ef.codomain_key]].append(ef)
+        self._out[self.index[ef.domain.key]].append(ef)
     self._down = [0] * len(self.faces)
     for i, f in enumerate(self.faces):
         mask = 1 << i
-        for ef in self._faces_of[f.key]:
+        for ef in self._into[i]:
             mask |= self._down[self.index[ef.domain.key]]
         self._down[i] = mask
     self._up = [0] * len(self.faces)
     for i in reversed(range(len(self.faces))):
         mask = 1 << i
-        for ef in self._extensions_of[self.faces[i].key]:
+        for ef in self._out[i]:
             mask |= self._up[self.index[ef.codomain_key]]
         self._up[i] = mask
     return self

@@ -13,7 +13,7 @@ from dendro.anodyne import segal_certificate
 from dendro.certify import mutate_and_check
 from dendro.cli import run
 from dendro.faces import INNER, Face, FaceError, enumerate_sub
-from dendro.pushout import certify_pp_stable
+from dendro.pushout import PPContext, certify_pp_inner, certify_pp_stable
 from dendro.trees import parse_tree
 
 
@@ -99,3 +99,20 @@ def test_missing_contraction_is_a_face_error(cold, monkeypatch, capsys):
         certify_pp_stable(parse_tree("s0[s1 s2]"), parse_tree("t0[t1 t2]"))
     assert run(["pp-stable", "--s", "s0[s1 s2]", "--t", "t0[t1 t2]"]) == 3
     assert "has no elementary face inner(s1,t0)" in capsys.readouterr().err
+
+
+def test_pp_stable_builds_no_face_outside_its_posets(cold, built):
+    # the omitted face of S is read from the poset of S, not built again
+    certify_pp_stable(parse_tree("s0[s1[s2[s3[s4]]]]"), parse_tree("t0[t1 t2]"))
+    assert len(built) == sum(len(poset) for poset in cold.values()) == 2351
+
+
+def test_pp_inner_builds_no_face_outside_its_posets(cold, built):
+    certify_pp_inner(parse_tree("s0[s1[s2]]"), "s1", parse_tree("t0[t1 t2]"))
+    assert len(built) == sum(len(poset) for poset in cold.values()) == 127
+
+
+def test_omit_site_that_s_lacks_is_a_face_error(cold):
+    s, t = parse_tree("s0[s1[s2]]"), parse_tree("t0[t1 t2]")
+    with pytest.raises(FaceError, match=r"^Face\(s0,s1,s2\) has no elementary face inner\(zz\)$"):
+        PPContext(s, t, (INNER, "zz"))
