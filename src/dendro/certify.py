@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, KeysView, Optional, Sequence
 
 from .complexes import (
     Ambient,
     FaceComplex,
     MalformedCertificateError,
-    _universe_of,
+    TensorAmbient,
     ambient_from_json,
     ambient_to_json,
     closure,
@@ -30,11 +30,25 @@ from .complexes import (
     key_from_json,
     key_to_json,
 )
-from .faces import BOTTOM, INNER, TOP, FaceError, FaceKey, enumerate_sub
+from .faces import BOTTOM, INNER, TOP, Face, FaceError, FaceKey, enumerate_sub
 
 OPERADIC = "operadic"
 COVARIANT = "covariant"
 STABLE = "stable"
+
+
+def _faces_by_key(
+    ambient: Ambient,
+) -> tuple[KeysView[FaceKey], Callable[[FaceKey], Optional[Face]]]:
+    """The keys of the ambient's faces, and the face with a given key or
+    ``None``: a tree is read from its poset's ``index``, with no copy of
+    it; a tensor from its universe."""
+    if isinstance(ambient, TensorAmbient):
+        universe = ambient.universe
+        return universe.keys(), universe.get
+    poset = enumerate_sub(ambient)
+    index, faces = poset.index, poset.faces
+    return index.keys(), lambda key: None if (i := index.get(key)) is None else faces[i]
 
 
 class ReplayGuardError(FaceError):
@@ -102,8 +116,8 @@ class Certificate:
         class_tag = json_field(data, "class", str)
         keys = [key_from_json(item) for item in json_field(data, "base", list)]
         ambient = ambient_from_json(json_field(data, "ambient", dict))
-        universe = _universe_of(ambient)
-        base = closure(ambient, [universe[key] for key in keys if key in universe])
+        _, face_of = _faces_by_key(ambient)
+        base = closure(ambient, [f for f in map(face_of, keys) if f is not None])
         # keys outside the ambient stay in the base, where replay rejects them
         base = FaceComplex(ambient, base.members.union(keys))
         return Certificate(ambient, base, class_tag, steps)
@@ -138,13 +152,12 @@ class Verdict:
 
 def replay_certificate(cert: Certificate) -> Verdict:
     """Replay a certificate step by step against its base complex."""
-    universe = _universe_of(cert.ambient)
-    keys = universe.keys()
+    keys, face_of = _faces_by_key(cert.ambient)
     current = set(cert.base.members)
     if not current <= keys:
         return Verdict(False, None, "base contains keys outside the ambient")
     for i, step in enumerate(cert.steps):
-        face = universe.get(step.face)
+        face = face_of(step.face)
         if face is None:
             return Verdict(False, i, f"step face {step.face} is not an ambient face")
         if face.key in current:

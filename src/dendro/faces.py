@@ -619,14 +619,28 @@ class SubPoset:
         return None
 
 
+_SUB_BOUND = 32
 _sub_cache: dict[Tree, SubPoset] = {}
 
 
 def enumerate_sub(ambient: Tree) -> SubPoset:
-    """The poset of all faces of a tree (memoized per tree)."""
-    poset = _sub_cache.get(ambient)
+    """The poset of all faces of a tree, memoized per tree.
+
+    The memo holds at most ``_SUB_BOUND`` posets, oldest use first: a hit
+    moves its tree to the end, and a miss appends the new poset and drops
+    the least recently used one once the memo is over the bound.  32 is
+    more than four times the largest working set of one operation: the
+    five shuffles of ``s0[s1[s2[s3[s4]]]] x t0[t1 t2]`` and its two trees,
+    for ``pp-stable`` or ``pp-inner`` and the replay of the certificate.
+    Nothing points back at a poset, so a dropped one is freed at once; a
+    face of it is still resolved by key in the rebuilt poset.
+    """
+    poset = _sub_cache.pop(ambient, None)
     if poset is None:
-        poset = _sub_cache.setdefault(ambient, SubPoset(ambient))
+        poset = SubPoset(ambient)
+    _sub_cache[ambient] = poset
+    if len(_sub_cache) > _SUB_BOUND:
+        del _sub_cache[next(iter(_sub_cache))]
     return poset
 
 

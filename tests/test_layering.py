@@ -62,3 +62,45 @@ def test_certify_imports_no_producer():
 def test_no_function_level_imports(path):
     assert function_level_imports(_parse(path)) == []
 
+
+
+CONTAINER_CALLS = {"dict", "list", "set", "bytearray", "defaultdict", "OrderedDict", "deque", "Counter"}
+CONTAINER_NODES = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+
+
+def _is_container(value: ast.expr | None) -> bool:
+    if isinstance(value, CONTAINER_NODES):
+        return True
+    if isinstance(value, ast.Call):
+        fn = value.func
+        name = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)
+        return name in CONTAINER_CALLS
+    return False
+
+
+def module_level_containers(module: ast.Module) -> set[str]:
+    """Names bound to a mutable container for the life of the module: at
+    module level or in a class body, outside any function."""
+    out = set()
+    todo = list(module.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and _is_container(node.value):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+        todo.extend(n for n in ast.iter_child_nodes(node) if isinstance(n, ast.stmt))
+    return out
+
+
+def test_sub_cache_is_the_only_module_level_container():
+    # a module-level memo lives as long as the process; the only one,
+    # faces._sub_cache, is bounded by faces._SUB_BOUND
+    found = {
+        (path.stem, name)
+        for path in SRC.glob("*.py")
+        for name in module_level_containers(_parse(path))
+        if name != "__all__"
+    }
+    assert found == {("faces", "_sub_cache")}

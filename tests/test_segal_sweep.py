@@ -1,0 +1,28 @@
+"""Opt-in sweep: the Segal certificate of every tree of ``tree_catalog(5,
+3)`` with a vertex is accepted after a JSON round trip, and the
+``enumerate_sub`` memo stays within its bound over the whole sweep.  The
+one tree left out is the bare edge, which has no Segal core.  Deselected
+by default; run it with ``pytest -m sweep``."""
+
+import pytest
+
+from dendro import faces
+from dendro.anodyne import segal_certificate
+from dendro.certify import Certificate, replay_certificate
+from dendro.trees import tree_catalog
+
+pytestmark = pytest.mark.sweep
+
+
+def test_segal_certificates_of_catalog_5_3_replay():
+    certificates = steps = 0
+    for pt in tree_catalog(5, 3):
+        if pt.tree.num_vertices() == 0:
+            continue
+        cert = Certificate.loads(segal_certificate(pt).dumps())
+        verdict = replay_certificate(cert)
+        assert verdict.accepted, (pt, verdict.reason)
+        certificates += 1
+        steps += len(cert.steps)
+    assert (certificates, steps) == (1932, 49824)
+    assert len(faces._sub_cache) <= faces._SUB_BOUND
