@@ -29,8 +29,8 @@ from .faces import (
     FaceKey,
     SubPoset,
     _is_adjacent,
+    _is_bad_pair,
     _is_mixed,
-    classify_pair,
     enumerate_sub,
 )
 from .order import EdgeOrder, compare_face_maps, edge_order
@@ -75,10 +75,11 @@ class ExtensionSet:
         self.top = self.poset.top if top is None else top
         self.view = self.poset.downset_mask(self.top)
         self.members = tuple(sorted({_own_cover(self.poset, ef) for ef in members}, key=_sig))
+        present = self.poset.mask_of(base.members)
         for ef in self.members:
-            if base.contains(ef.domain.key) or base.contains(ef.codomain_key):
+            if present >> ef.domain.pos & 1 or present >> ef.codomain.pos & 1:
                 raise FaceError(f"member {ef!r} touches a non-missing face")
-        self._missing_mask = _missing_mask(self.poset, base, self.view)
+        self._missing_mask = self.view & ~present
         self.missing: list[Face] = self.poset.faces_in(self._missing_mask)
         # by position: the member mask of each codomain and the members
         # into and out of each face
@@ -118,12 +119,6 @@ def _own_cover(poset: SubPoset, ef: ElementaryFace) -> ElementaryFace:
     return own
 
 
-def _missing_mask(poset: SubPoset, base: FaceComplex, view: int) -> int:
-    """The faces of the mask ``view`` missing from ``base``, as a mask."""
-    index = poset.index
-    return view & ~sum(1 << index[k] for k in base.members if k in index)
-
-
 def missing_covers(
     poset: SubPoset, base: FaceComplex, top: Face | None = None
 ) -> list[ElementaryFace]:
@@ -131,7 +126,7 @@ def missing_covers(
     the view of ``top`` (by default the full face) whose two ends are both
     missing from ``base``.  Every extension-set builder filters these."""
     view = poset.downset_mask(poset.top if top is None else top)
-    missing = _missing_mask(poset, base, view)
+    missing = view & ~poset.mask_of(base.members)
     faces = poset.faces_in(missing)
     return [ef for p in faces for ef in poset.faces_of(p) if missing >> ef.domain.pos & 1]
 
@@ -184,12 +179,12 @@ def check_axioms(es: ExtensionSet) -> AxiomReport:
         ff = faces_in.get(p.pos, ())
         for i, f in enumerate(ff):
             for g in ff[i + 1 :]:
-                if _is_mixed(f, g) or _is_mixed(g, f):
+                if _is_mixed(f, g):
                     failures["F1"].append(f"mixed pair {f!r} / {g!r}")
         ee = exts_in.get(p.pos, ())
         for i, f in enumerate(ee):
             for g in ee[i + 1 :]:
-                if classify_pair(f, g, mode="extensions").startswith("bad"):
+                if _is_bad_pair(f, g):
                     failures["F1"].append(f"bad pair {f!r} / {g!r}")
     for f in es.members:
         for g in exts_in.get(f.codomain.pos, ()):
@@ -204,11 +199,7 @@ def check_axioms(es: ExtensionSet) -> AxiomReport:
         for g in es.extensions_of(p):
             if mask.get(g.codomain.pos, 0) >> p.pos & 1:
                 continue
-            bad = [
-                f
-                for f in inside
-                if classify_pair(f, g, mode="extensions").startswith("bad")
-            ]
+            bad = [f for f in inside if _is_bad_pair(f, g)]
             if len(bad) > 1:
                 failures["F2"].append(f"{g!r} has bad partners {bad!r}")
 
@@ -236,7 +227,7 @@ def check_axioms(es: ExtensionSet) -> AxiomReport:
                 g_in = top_mask >> g.domain.pos & 1
                 if not ((f_in or low_masks[j]) and (g_in or low_masks[i])):
                     continue
-                if _is_mixed(f, g) or _is_mixed(g, f):
+                if _is_mixed(f, g):
                     continue
                 sides = poset.square(f, g)
                 if sides is None:

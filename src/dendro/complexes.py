@@ -116,11 +116,7 @@ class FaceComplex:
             posets = [enumerate_sub(self.ambient)]
         dominated = set()
         for poset in posets:
-            mask = 0
-            for k in self.members:
-                i = poset.index.get(k)
-                if i is not None:
-                    mask |= 1 << i
+            mask = poset.mask_of(self.members)
             for f in poset.faces_in(mask):
                 if poset.upset_mask(f) & mask != 1 << f.pos:
                     dominated.add(f.key)

@@ -42,32 +42,27 @@ def _emit_tree(out, tree: Tree, colour=None, highlight=frozenset(), missing=froz
         out.append(f"  {lower} -- {upper} [label={_quote(e)}{style}];")
 
 
-def tree_dot(t: Tree | PlanarTree, name: str = "tree") -> str:
-    tree = t.tree if isinstance(t, PlanarTree) else t
+def _tree_graph(name: str, tree: Tree, **style) -> str:
     out = [f"graph {_quote(name)} {{", "  rankdir=BT;"]
-    _emit_tree(out, tree)
+    _emit_tree(out, tree, **style)
     out.append("}")
     return "\n".join(out)
+
+
+def tree_dot(t: Tree | PlanarTree, name: str = "tree") -> str:
+    return _tree_graph(name, t.tree if isinstance(t, PlanarTree) else t)
 
 
 def shuffle_dot(sh: Shuffle, name: str = "shuffle") -> str:
-    tree = sh.tree.tree
-    out = [f"graph {_quote(name)} {{", "  rankdir=BT;"]
-    _emit_tree(out, tree, colour=sh.vertex_colour)
-    out.append("}")
-    return "\n".join(out)
+    return _tree_graph(name, sh.tree.tree, colour=sh.vertex_colour)
 
 
 def face_dot(face: Face, name: str = "face") -> str:
     """The ambient tree with the face's edges highlighted and the removed
     part dashed."""
-    tree = face.ambient
-    out = [f"graph {_quote(name)} {{", "  rankdir=BT;"]
     present = frozenset(face.edges)
-    absent = frozenset(tree.edges) - present
-    _emit_tree(out, tree, highlight=present, missing=absent)
-    out.append("}")
-    return "\n".join(out)
+    absent = frozenset(face.ambient.edges) - present
+    return _tree_graph(name, face.ambient, highlight=present, missing=absent)
 
 
 def poset_dot(poset: PercolationPoset, name: str = "percolation") -> str:

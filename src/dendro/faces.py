@@ -51,15 +51,16 @@ def _indices(mask: int) -> Iterator[int]:
 class Face:
     """A subtree of an ambient tree, identified by its ``(edges, caps)`` key.
 
-    A face holds its ambient, key, rank and position, and the masks
+    A face holds its ambient, key, rank, root and position, and the masks
     ``edge_mask`` and ``cap_mask`` of its edges and caps in the ambient's
     bit order (:class:`~dendro.trees.EdgeBits`, sorted by name, so the key
-    is read off the masks already sorted).  ``edges``, ``caps``, ``root``,
-    ``parent`` and ``children`` are derived from the masks on first read
-    and then cached; ``maximal``, ``leaves`` and ``inner_edges`` are
-    derived on each call.  ``pos`` is the face's position in the ``faces``
-    list of the :class:`SubPoset` that built it, and ``-1`` for a face
-    built outside a poset.
+    is read off the masks already sorted).  The root is set at
+    construction: it is the unique minimal edge that validation finds.
+    ``edges``, ``caps``, ``parent`` and ``children`` are derived from the
+    masks on first read and then cached; ``maximal``, ``leaves`` and
+    ``inner_edges`` are derived on each call.  ``pos`` is the face's
+    position in the ``faces`` list of the :class:`SubPoset` that built it,
+    and ``-1`` for a face built outside a poset.
 
     ``edges`` and ``caps`` are given as edge names, or as masks (the poset
     build passes masks); either way the face is validated on its masks.
@@ -67,7 +68,7 @@ class Face:
 
     __slots__ = (
         "ambient", "key", "rank", "pos", "edge_mask", "cap_mask",
-        "_edges", "_caps", "_root", "_links",
+        "root", "_edges", "_caps", "_links",
     )
 
     def __init__(
@@ -100,10 +101,11 @@ class Face:
         cap_names = tuple([names[c] for c in _indices(caps)]) if caps else ()
         self.key = (tuple([names[i] for i in ids]), cap_names)
         self.rank = rank
+        self.root = roots[0]
         self.pos = -1
         self.edge_mask = edges
         self.cap_mask = caps
-        self._edges = self._caps = self._root = self._links = None
+        self._edges = self._caps = self._links = None
 
     # -- structure, derived from the masks ------------------------------
 
@@ -118,15 +120,6 @@ class Face:
         if self._caps is None:
             self._caps = frozenset(self.key[1])
         return self._caps
-
-    @property
-    def root(self) -> str:
-        if self._root is None:
-            below, edges = self.ambient.bits.below, self.edge_mask
-            self._root = next(
-                e for i, e in zip(_indices(edges), self.key[0]) if not below[i] & edges
-            )
-        return self._root
 
     @property
     def parent(self) -> dict[str, str]:
@@ -567,6 +560,12 @@ class SubPoset:
             mask &= mask - 1
         return out
 
+    def mask_of(self, keys: frozenset[FaceKey]) -> int:
+        """The mask of the faces in the key set ``keys`` (a complex's
+        members); a key that is no face of the poset is skipped."""
+        index = self.index
+        return sum(1 << index[k] for k in keys if k in index)
+
     def downset(self, p: Face | FaceKey) -> list[Face]:
         return self.faces_in(self.downset_mask(p))
 
@@ -667,16 +666,12 @@ def classify_pair(f: ElementaryFace, g: ElementaryFace, mode: str = "faces") -> 
     if mode == "faces":
         if f.codomain_key != g.codomain_key:
             raise FaceError("face-pair mode requires a common codomain")
-        if _is_mixed(f, g) or _is_mixed(g, f):
-            return MIXED
-        return GOOD
+        return MIXED if _is_mixed(f, g) else GOOD
     if mode == "extensions":
         if f.domain.key != g.domain.key:
             raise FaceError("extension-pair mode requires a common domain")
-        if f.kind == TOP and g.kind == TOP and f.at == g.at:
-            return BAD_SIBLING_TOPS
-        if f.kind == BOTTOM and g.kind == BOTTOM:
-            return BAD_SIBLING_BOTTOMS
+        if _is_bad_pair(f, g):
+            return BAD_SIBLING_TOPS if f.kind == TOP else BAD_SIBLING_BOTTOMS
         return GOOD
     if mode == "composable":
         if f.codomain_key != g.domain.key:
@@ -685,10 +680,17 @@ def classify_pair(f: ElementaryFace, g: ElementaryFace, mode: str = "faces") -> 
     raise FaceError(f"unknown mode {mode!r}")
 
 
-def _is_mixed(inner: ElementaryFace, outer: ElementaryFace) -> bool:
-    """True for ``{inner(e), outer}`` with e the unique inner edge attached
-    to the chopped outer vertex."""
-    return inner.kind == INNER and outer.kind in (TOP, BOTTOM) and outer.at == inner.at
+def _is_mixed(f: ElementaryFace, g: ElementaryFace) -> bool:
+    """Two faces of one face form a mixed pair: one contracts the inner
+    edge ``e`` and the other, top or bottom, chops the vertex that ``e``
+    attaches, so both are labelled ``e``.  Symmetric in ``f`` and ``g``."""
+    return f.at == g.at and (f.kind == INNER) != (g.kind == INNER)
+
+
+def _is_bad_pair(f: ElementaryFace, g: ElementaryFace) -> bool:
+    """Two extensions of one face form a bad pair: two top faces at one
+    edge, or two bottom faces."""
+    return f.kind == g.kind and (f.kind == BOTTOM or f.kind == TOP and f.at == g.at)
 
 
 def _is_adjacent(poset: SubPoset, f: ElementaryFace, g: ElementaryFace) -> bool:

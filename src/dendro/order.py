@@ -65,12 +65,7 @@ def compare_face_maps(ord: EdgeOrder, f: ElementaryFace, g: ElementaryFace) -> i
     same operation, which happens exactly for the bottom faces of a corolla.
     """
     c = compare_operations(ord, f.assigned_operation(), g.assigned_operation())
-    if c == EQ and (f.kind, f.at, f.domain.key, f.codomain_key) != (
-        g.kind,
-        g.at,
-        g.domain.key,
-        g.codomain_key,
-    ):
+    if c == EQ and f != g:
         if f.kind == BOTTOM and g.kind == BOTTOM:
             raise CorollaBottomPairError(
                 "bottom faces of a corolla are not comparable"

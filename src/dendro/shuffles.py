@@ -95,44 +95,30 @@ def _build(s_tree: PlanarTree, t_tree: PlanarTree, order: dict[str, tuple[str, .
     return Shuffle(s_tree, t_tree, planar)
 
 
+def _grafted_copies(lower: PlanarTree, upper: PlanarTree, name) -> dict[str, tuple[str, ...]]:
+    """The edge -> ordered children map of copies of ``upper`` grafted on
+    ``lower``, one per leaf of ``lower``.  ``name(l, u)`` names the edge
+    with ``lower``-coordinate ``l`` and ``upper``-coordinate ``u``."""
+    L, U = lower.tree, upper.tree
+    ru = U.root
+    order: dict[str, tuple[str, ...]] = {}
+    for l in L.edges:
+        if l in L.leaves:
+            for u in U.edges:
+                order[name(l, u)] = tuple(name(l, c) for c in upper.ordered_children(u))
+        else:
+            order[name(l, ru)] = tuple(name(c, ru) for c in lower.ordered_children(l))
+    return order
+
+
 def initial_shuffle(s_tree: PlanarTree, t_tree: PlanarTree) -> Shuffle:
     """Copies of S grafted on top of T (one per leaf of T)."""
-    S, T = s_tree.tree, t_tree.tree
-    rs = S.root
-    order: dict[str, tuple[str, ...]] = {}
-    for t in T.edges:
-        if t in T.leaves:
-            for s in S.edges:
-                se = pair_name(s, t)
-                if s in S.leaves:
-                    order[se] = ()
-                else:
-                    order[se] = tuple(pair_name(c, t) for c in s_tree.ordered_children(s))
-        else:
-            order[pair_name(rs, t)] = tuple(
-                pair_name(rs, c) for c in t_tree.ordered_children(t)
-            )
-    return _build(s_tree, t_tree, order)
+    return _build(s_tree, t_tree, _grafted_copies(t_tree, s_tree, lambda t, s: pair_name(s, t)))
 
 
 def terminal_shuffle(s_tree: PlanarTree, t_tree: PlanarTree) -> Shuffle:
     """Copies of T grafted on top of S (one per leaf of S)."""
-    S, T = s_tree.tree, t_tree.tree
-    rt = T.root
-    order: dict[str, tuple[str, ...]] = {}
-    for s in S.edges:
-        if s in S.leaves:
-            for t in T.edges:
-                te = pair_name(s, t)
-                if t in T.leaves:
-                    order[te] = ()
-                else:
-                    order[te] = tuple(pair_name(s, c) for c in t_tree.ordered_children(t))
-        else:
-            order[pair_name(s, rt)] = tuple(
-                pair_name(c, rt) for c in s_tree.ordered_children(s)
-            )
-    return _build(s_tree, t_tree, order)
+    return _build(s_tree, t_tree, _grafted_copies(s_tree, t_tree, pair_name))
 
 
 def percolation_successors(sh: Shuffle) -> list[Shuffle]:
