@@ -15,10 +15,12 @@ complex is reached and by replaying the certificate.  The fill steps:
   that input (covariant filtrations), then one bottom horn per missing
   hanging face followed by another covariant filtration.
 
-Every face a fill step uses is read from the shuffle's face poset.  The
+Every face a fill step uses is read from the shuffle's face poset, and the
+sweep keeps one mask of the present faces of the shuffle being filled.  The
 base complex is computed by projection tests: a tensor face lies in the
 base iff its S-projection lands in the horn or its T-projection is a
-proper face of T.
+proper face of T.  A projection is mask work on the face's edge and cap
+masks, through a colour table per shuffle tree.
 """
 
 from __future__ import annotations
@@ -61,7 +63,16 @@ class EssentialData:
 
 
 class PPContext:
-    """Shared state of one pushout-product run."""
+    """Shared state of one pushout-product run.
+
+    ``current`` is the set of keys of the faces present so far, across all
+    shuffles; it is the authority.  Beside it the context keeps the mask of
+    the present faces of one shuffle's poset, the one being filled: it is
+    read from ``current`` when the context moves to another poset (or when
+    ``current`` is replaced or grows from outside), and ``add_downset``
+    keeps both up to date.  The base is decided by projections on colour
+    masks, from one colour table per shuffle tree (``_colours``).
+    """
 
     def __init__(self, s_tree: PlanarTree, t_tree: PlanarTree, omit_site: tuple[str, str]):
         self.s_tree = s_tree
@@ -81,31 +92,69 @@ class PPContext:
         self.steps: list[Step] = []
         self.extension_sets: list[ExtensionSet] | None = None  # kept only when collected
         self.phase = 0
+        self._colour_tables: dict[Tree, tuple] = {}
+        self._present = 0  # present faces of the poset in _seen, as a mask
+        self._seen: tuple = (None, None, 0)  # (poset, current, len(current)) it was read for
 
     # -- projections -----------------------------------------------------
 
-    def _project(self, face: Face, side: int, partner: Tree, own: Tree) -> FaceKey:
-        """Projection of a tensor face to one side, with cap bookkeeping:
-        a cap forces dead branches on this side only when the partner tree
-        still has a leaf above its coordinate."""
-        cols = {split_name(e)[side] for e in face.key[0]}
-        hard = set()
-        for e in face.key[1]:
-            mine, other = split_name(e)[side], split_name(e)[1 - side]
-            if any(partner.leq(other, l) for l in partner.leaves):
-                hard.add(mine)
-        maxs = {c for c in cols if not any(x != c and own.leq(c, x) for x in cols)}
-        caps = {m for m in maxs if any(own.leq(h, m) for h in hard)}
-        return make_key(cols, caps)
+    def _colours(self, tree: Tree) -> tuple:
+        """The colour table of a shuffle tree, one ``(colours, hard)`` pair
+        per side: ``colours[i]`` is the bit, in that factor's ``bits``, of
+        the colour of edge bit ``i`` on that side, and ``hard`` is the mask
+        of the edge bits where a cap is hard on that side, because the
+        partner colour has a leaf at or above it."""
+        table = self._colour_tables.get(tree)
+        if table is None:
+            factors = (self.s_tree.tree, self.t_tree.tree)
+            live = [_live_mask(x) for x in factors]
+            colours, hard = ([], []), [0, 0]
+            for i, e in enumerate(tree.bits.names):
+                pos = [x.bits.index[c] for x, c in zip(factors, split_name(e))]
+                for side in (0, 1):
+                    colours[side].append(1 << pos[side])
+                    if live[1 - side] >> pos[1 - side] & 1:
+                        hard[side] |= 1 << i
+            table = self._colour_tables[tree] = tuple(zip(colours, hard))
+        return table
+
+    def _project(self, face: Face, side: int) -> FaceKey:
+        """Projection of a tensor face to one side (0 for S, 1 for T): its
+        edges are the colours of the face's edges, and a maximal one is
+        capped when a hard cap has its colour at or below it."""
+        colour, hard_edges = self._colours(face.ambient)[side]
+        own = (self.s_tree.tree, self.t_tree.tree)[side].bits
+        cols = hard = 0
+        m = face.edge_mask
+        while m:
+            low = m & -m
+            cols |= colour[low.bit_length() - 1]
+            m ^= low
+        m = face.cap_mask & hard_edges
+        while m:
+            low = m & -m
+            hard |= colour[low.bit_length() - 1]
+            m ^= low
+        above, below, names = own.above, own.below, own.names
+        edges, caps = [], []
+        m = cols
+        while m:
+            low = m & -m
+            i = low.bit_length() - 1
+            edges.append(names[i])
+            if not above[i] & cols and hard & (low | below[i]):
+                caps.append(names[i])
+            m ^= low
+        return tuple(edges), tuple(caps)
 
     def in_base(self, face: Face) -> bool:
         """Membership in horn(S) (x) T union S (x) boundary(T)."""
-        sp = self._project(face, 0, self.t_tree.tree, self.s_tree.tree)
+        sp = self._project(face, 0)
         if sp not in self.s_sub.index:
             raise FaceError(f"S-projection {sp} of {face!r} is not a face")
         if sp not in self.s_excluded:
             return True
-        tp = self._project(face, 1, self.s_tree.tree, self.t_tree.tree)
+        tp = self._project(face, 1)
         if tp not in self.t_sub.index:
             raise FaceError(f"T-projection {tp} of {face!r} is not a face")
         return tp != self.t_full_key
@@ -118,13 +167,28 @@ class PPContext:
 
     # -- per-shuffle plumbing ---------------------------------------------
 
+    def _present_mask(self, sub: SubPoset) -> int:
+        """The mask of the present faces of ``sub``, re-read from
+        ``current`` unless it was last read or kept for this poset and this
+        ``current`` at its present size."""
+        current = self.current
+        poset, seen, size = self._seen
+        if poset is not sub or seen is not current or size != len(current):
+            self._present = sum(1 << f.pos for f in sub.faces if f.key in current)
+            self._seen = (sub, current, len(current))
+        return self._present
+
     def local_base(self, sub: SubPoset, top: Face) -> FaceComplex:
         """The present faces in the downset view of ``top`` in ``sub``."""
-        keys = (f.key for f in sub.downset(top))
-        return FaceComplex(sub.ambient, frozenset(k for k in keys if k in self.current))
+        present = self._present_mask(sub) & sub.downset_mask(top)
+        return FaceComplex(sub.ambient, frozenset(f.key for f in sub.faces_in(present)))
 
     def add_downset(self, sub: SubPoset, face: Face) -> None:
-        self.current.update(f.key for f in sub.downset(face))
+        present = self._present_mask(sub)
+        down = sub.downset_mask(face)
+        self.current.update(f.key for f in sub.faces_in(down & ~present))
+        self._present = present | down
+        self._seen = (sub, self.current, len(self.current))
 
     def next_phase(self) -> int:
         self.phase += 1
@@ -135,6 +199,16 @@ class PPContext:
             self.extension_sets.append(es)
         self.steps.extend(filtration_steps(es, ordr, phase=self.next_phase()))
         self.add_downset(es.poset, es.top)
+
+
+def _live_mask(tree: Tree) -> int:
+    """The mask of the edges of ``tree`` with a leaf at or above them."""
+    bits = tree.bits
+    live = 0
+    for leaf in tree.leaves:
+        i = bits.index[leaf]
+        live |= 1 << i | bits.below[i]
+    return live
 
 
 def require_admissible(s_tree: PlanarTree, t_tree: PlanarTree) -> None:
@@ -290,12 +364,14 @@ def _sweep(ctx: PPContext, shuffles: list[Shuffle], fill, collect: list | None) 
     ctx.current = set(base.members)
     for sh in shuffles:
         sub = ctx.tensor.sub(sh)
-        if all(k in ctx.current for k in sub.index):
+        full = (1 << len(sub)) - 1
+        if ctx._present_mask(sub) == full:
             continue
         fill(sh, sub)
-        missing = [k for k in sub.index if k not in ctx.current]
+        missing = full & ~ctx._present_mask(sub)
         if missing:
-            raise ReplayGuardError(f"shuffle not exhausted: {missing[:3]}")
+            keys = [f.key for f in sub.faces_in(missing)]
+            raise ReplayGuardError(f"shuffle not exhausted: {keys[:3]}")
     if ctx.current != set(ctx.tensor.universe):
         raise ReplayGuardError("pipeline did not reach the full tensor complex")
     steps = tuple(ctx.steps)
