@@ -173,35 +173,35 @@ def check_axioms(es: ExtensionSet) -> AxiomReport:
     poset = es.poset
     mask, faces_in, exts_in = es._mask, es._faces_in, es._exts_in
 
-    # F1: no mixed pair of faces, no bad pair of extensions, and no
-    # adjacent composable pair inside the set.
+    # One pass over the missing faces.  F1: no mixed pair of faces and no
+    # bad pair of extensions into one face.  F2: an extension outside the
+    # set has at most one bad partner inside.  F5: every missing face has a
+    # face or an extension in the set.
     for p in es.missing:
         ff = faces_in.get(p.pos, ())
         for i, f in enumerate(ff):
             for g in ff[i + 1 :]:
                 if _is_mixed(f, g):
                     failures["F1"].append(f"mixed pair {f!r} / {g!r}")
-        ee = exts_in.get(p.pos, ())
-        for i, f in enumerate(ee):
-            for g in ee[i + 1 :]:
+        inside = exts_in.get(p.pos, ())
+        for i, f in enumerate(inside):
+            for g in inside[i + 1 :]:
                 if _is_bad_pair(f, g):
                     failures["F1"].append(f"bad pair {f!r} / {g!r}")
+        if inside:
+            for g in es.extensions_of(p):
+                if mask.get(g.codomain.pos, 0) >> p.pos & 1:
+                    continue
+                bad = [f for f in inside if _is_bad_pair(f, g)]
+                if len(bad) > 1:
+                    failures["F2"].append(f"{g!r} has bad partners {bad!r}")
+        elif not ff:
+            failures["F5"].append(f"isolated missing face {p!r}")
+    # F1: no adjacent composable pair inside the set.
     for f in es.members:
         for g in exts_in.get(f.codomain.pos, ()):
             if _is_adjacent(poset, f, g):
                 failures["F1"].append(f"adjacent pair {f!r} then {g!r}")
-
-    # F2: an extension outside the set has at most one bad partner inside.
-    for p in es.missing:
-        inside = exts_in.get(p.pos)
-        if not inside:
-            continue
-        for g in es.extensions_of(p):
-            if mask.get(g.codomain.pos, 0) >> p.pos & 1:
-                continue
-            bad = [f for f in inside if _is_bad_pair(f, g)]
-            if len(bad) > 1:
-                failures["F2"].append(f"{g!r} has bad partners {bad!r}")
 
     # F3: two-out-of-four closure on commuting squares.  A square holding
     # no member cannot fail, so its top is a member's codomain or the
@@ -241,11 +241,6 @@ def check_axioms(es: ExtensionSet) -> AxiomReport:
 
     # F4: extension sequences up to joins stay inside the set.
     failures["F4"] = _join_interval_failures(es)
-
-    # F5: every missing face has a face or an extension in the set.
-    for p in es.missing:
-        if p.pos not in faces_in and p.pos not in exts_in:
-            failures["F5"].append(f"isolated missing face {p!r}")
 
     return AxiomReport(failures)
 

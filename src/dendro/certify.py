@@ -223,33 +223,15 @@ def mutate_and_check(cert: Certificate) -> MutationReport:
     base = replay_certificate(cert)
     if not base.accepted:
         raise ValueError(f"certificate must be accepted before mutating: {base.reason}")
-    steps = cert.steps
-    mutations: list[Mutation] = []
+    steps = tuple(cert.steps)
+    mutants: list[tuple[str, bool, tuple]] = []
     for i in range(len(steps)):
-        dropped = steps[:i] + steps[i + 1 :]
-        mutations.append(
-            Mutation(
-                f"drop step {i}",
-                False,
-                replay_certificate(_with_steps(cert, dropped)),
-            )
-        )
-        duplicated = steps[: i + 1] + steps[i:]
-        mutations.append(
-            Mutation(
-                f"duplicate step {i}",
-                False,
-                replay_certificate(_with_steps(cert, duplicated)),
-            )
-        )
+        mutants.append((f"drop step {i}", False, steps[:i] + steps[i + 1 :]))
+        mutants.append((f"duplicate step {i}", False, steps[: i + 1] + steps[i:]))
     for i in range(len(steps) - 1):
-        swapped = list(steps)
-        swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
-        mutations.append(
-            Mutation(
-                f"swap steps {i},{i + 1}",
-                steps[i].batch == steps[i + 1].batch,
-                replay_certificate(_with_steps(cert, swapped)),
-            )
-        )
-    return MutationReport(mutations)
+        swapped = steps[:i] + (steps[i + 1], steps[i]) + steps[i + 2 :]
+        mutants.append((f"swap steps {i},{i + 1}", steps[i].batch == steps[i + 1].batch, swapped))
+    return MutationReport([
+        Mutation(description, same_batch, replay_certificate(_with_steps(cert, mutant)))
+        for description, same_batch, mutant in mutants
+    ])

@@ -17,7 +17,7 @@ Elementary face maps come in three kinds:
 from __future__ import annotations
 
 import functools
-from typing import Iterable, Iterator
+from typing import AbstractSet, Iterable, Iterator
 
 from .trees import EdgeBits, Operation, Tree, is_operation
 
@@ -560,9 +560,12 @@ class SubPoset:
             mask &= mask - 1
         return out
 
-    def mask_of(self, keys: frozenset[FaceKey]) -> int:
+    def mask_of(self, keys: AbstractSet[FaceKey]) -> int:
         """The mask of the faces in the key set ``keys`` (a complex's
-        members); a key that is no face of the poset is skipped."""
+        members); a key that is no face of the poset is skipped.  It walks
+        the smaller side: the keys, or the poset's faces."""
+        if len(keys) > len(self.faces):
+            return sum(1 << f.pos for f in self.faces if f.key in keys)
         index = self.index
         return sum(1 << index[k] for k in keys if k in index)
 

@@ -174,7 +174,7 @@ class PPContext:
         current = self.current
         poset, seen, size = self._seen
         if poset is not sub or seen is not current or size != len(current):
-            self._present = sum(1 << f.pos for f in sub.faces if f.key in current)
+            self._present = sub.mask_of(current)
             self._seen = (sub, current, len(current))
         return self._present
 
@@ -401,38 +401,40 @@ def certify_pp_stable(
     return _sweep(ctx, ctx.tensor.poset.linearization(), fill, collect)
 
 
-def _top_colours(ctx: PPContext, face: Face) -> frozenset[str]:
-    """The handover colours used by the white-root machinery.
-
-    On open pairs this is the T-top of the essential face (maximal edges
-    over the distinguished input are leaves there).  With dead zones over
-    the distinguished input (stumps of S above it, which by admissibility
-    forces T linear), caps contribute their colours too, and a fully
-    removed zone collapses to the root identity of T.
-    """
-    l1, leaf_inputs = _root_vertex_data(ctx.s_tree)
-    if not leaf_inputs:
-        return frozenset()
-    T = ctx.t_tree.tree
-    root_identity = frozenset({T.root}) if T.leaves else frozenset()
-    return _t_top(ctx, l1, face.maximal, root_identity)[1]
-
-
 def _fill_white_rooted(ctx: PPContext, sh: Shuffle, sub: SubPoset, l1, leaf_inputs) -> None:
-    """Fill a white-rooted shuffle; every face used is read from ``sub``."""
+    """Fill a white-rooted shuffle; every face used is read from ``sub``.
+
+    Each face is filled by its handover colours.  On open pairs these are
+    the T-top of the essential face (maximal edges over the distinguished
+    input are leaves there).  With dead zones over the distinguished input
+    (stumps of S above it, which by admissibility forces T linear), caps
+    contribute their colours too, and a fully removed zone collapses to the
+    root identity of T.
+    """
+    T = ctx.t_tree.tree
     tr = sh.tree.tree
     ordr = edge_order(sh.tree)
-    l1_rt = pair_name(l1, ctx.t_tree.tree.root)
+    l1_rt = pair_name(l1, T.root)
+    root_identity = frozenset({T.root}) if T.leaves else frozenset()
     top = sub.top
     hang_edges = {e for e in tr.edges if tr.leq(l1_rt, e)}
     hanging = sub.face(make_key(hang_edges, top.caps & hang_edges))
     over = [f for f in sub.downset(hanging) if f.root == l1_rt]
 
+    def top_colours(face: Face) -> frozenset[str]:
+        if not leaf_inputs:
+            return frozenset()
+        return _t_top(ctx, l1, face.maximal, root_identity)[1]
+
     def grafted(rp: Face) -> Face:
         edges = {tr.root} | {
-            pair_name(l, t) for l in leaf_inputs for t in ctx.t_tree.tree.edges
+            pair_name(l, t) for l in leaf_inputs for t in T.edges
         } | rp.edges
         return sub.face(make_key(edges, (top.caps & (edges - rp.edges)) | rp.caps))
+
+    def fill(face: Face, tc: frozenset[str]) -> None:
+        local = ctx.local_base(sub, face)
+        ctx.run_filtration(white_root_extension_set(face, tc, local, ctx), ordr)
 
     # first sweep: contractions of the distinguished root input
     for rp in over:
@@ -442,18 +444,14 @@ def _fill_white_rooted(ctx: PPContext, sh: Shuffle, sub: SubPoset, l1, leaf_inpu
         contraction = sub.face_map(whole, INNER, l1_rt)
         if contraction is None:
             raise FaceError(f"{whole!r} has no elementary face inner({l1_rt})")
-        contracted = contraction.domain
-        tc = _top_colours(ctx, contracted)
-        local = ctx.local_base(sub, contracted)
-        es = white_root_extension_set(contracted, tc, local, ctx)
-        ctx.run_filtration(es, ordr)
+        fill(contraction.domain, top_colours(contraction.domain))
 
     # second sweep: one bottom horn per missing hanging face, then fill
     for rp in over:
         whole = grafted(rp)
         if whole.key in ctx.current:
             continue
-        tc = _top_colours(ctx, whole)
+        tc = top_colours(whole)
         if rp.key not in ctx.current:
             corolla_leaves = {pair_name(l, x) for l in leaf_inputs for x in tc}
             capped = sub.face(make_key({tr.root} | corolla_leaves | rp.edges, rp.caps))
@@ -461,9 +459,7 @@ def _fill_white_rooted(ctx: PPContext, sh: Shuffle, sub: SubPoset, l1, leaf_inpu
                 Step(capped.key, BOTTOM, l1_rt, (ctx.next_phase(), rp.rank, 0))
             )
             ctx.add_downset(sub, capped)
-        local = ctx.local_base(sub, whole)
-        es = white_root_extension_set(whole, tc, local, ctx)
-        ctx.run_filtration(es, ordr)
+        fill(whole, tc)
 
 
 def certify_pp_inner(
