@@ -374,8 +374,7 @@ def _assert_descent(es: ExtensionSet, pairs: list[ElementaryFace]) -> None:
 def build_filtration(es: ExtensionSet, ord: EdgeOrder) -> Certificate:
     """Certificate for ``base -> full`` over the extension set's ambient;
     replays itself as an internal guard before returning."""
-    steps = tuple(filtration_steps(es, ord))
-    return replay_guard(Certificate(es.ambient, es.base, class_of_steps(steps), steps))
+    return replay_guard(Certificate.of(es.ambient, es.base, filtration_steps(es, ord)))
 
 
 def segal_certificate(pt) -> Certificate:

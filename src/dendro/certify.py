@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, KeysView, Optional, Sequence
+from typing import Optional, Sequence
 
 from .complexes import (
     Ambient,
     FaceComplex,
     MalformedCertificateError,
-    TensorAmbient,
+    _faces_by_key,
     ambient_from_json,
     ambient_to_json,
     closure,
@@ -30,25 +30,11 @@ from .complexes import (
     key_from_json,
     key_to_json,
 )
-from .faces import BOTTOM, INNER, TOP, Face, FaceError, FaceKey, enumerate_sub
+from .faces import BOTTOM, INNER, TOP, FaceError, FaceKey, enumerate_sub
 
 OPERADIC = "operadic"
 COVARIANT = "covariant"
 STABLE = "stable"
-
-
-def _faces_by_key(
-    ambient: Ambient,
-) -> tuple[KeysView[FaceKey], Callable[[FaceKey], Optional[Face]]]:
-    """The keys of the ambient's faces, and the face with a given key or
-    ``None``: a tree is read from its poset's ``index``, with no copy of
-    it; a tensor from its universe."""
-    if isinstance(ambient, TensorAmbient):
-        universe = ambient.universe
-        return universe.keys(), universe.get
-    poset = enumerate_sub(ambient)
-    index, faces = poset.index, poset.faces
-    return index.keys(), lambda key: None if (i := index.get(key)) is None else faces[i]
 
 
 class ReplayGuardError(FaceError):
@@ -98,6 +84,11 @@ class Certificate:
     base: FaceComplex
     class_tag: str
     steps: tuple[Step, ...]
+
+    @classmethod
+    def of(cls, ambient: Ambient, base: FaceComplex, steps: Sequence[Step]) -> "Certificate":
+        """A produced certificate: its class tag is the one its steps determine."""
+        return cls(ambient, base, class_of_steps(steps), tuple(steps))
 
     def to_json(self) -> dict:
         return {
@@ -210,11 +201,6 @@ class MutationReport:
     mutations: list[Mutation]
 
 
-def _with_steps(cert: Certificate, steps) -> Certificate:
-    steps = tuple(steps)
-    return Certificate(cert.ambient, cert.base, class_of_steps(steps), steps)
-
-
 def mutate_and_check(cert: Certificate) -> MutationReport:
     """Systematically drop, duplicate, and adjacent-swap steps, replaying
     each mutant.  Intra-batch swaps are expected to pass (canonical
@@ -232,6 +218,6 @@ def mutate_and_check(cert: Certificate) -> MutationReport:
         swapped = steps[:i] + (steps[i + 1], steps[i]) + steps[i + 2 :]
         mutants.append((f"swap steps {i},{i + 1}", steps[i].batch == steps[i + 1].batch, swapped))
     return MutationReport([
-        Mutation(description, same_batch, replay_certificate(_with_steps(cert, mutant)))
-        for description, same_batch, mutant in mutants
+        Mutation(desc, same, replay_certificate(Certificate.of(cert.ambient, cert.base, mutant)))
+        for desc, same, mutant in mutants
     ])

@@ -10,9 +10,18 @@ union of representables a genuine union.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Callable, Iterable, KeysView, Optional, Union
 
-from .faces import ElementaryFace, Face, FaceError, FaceKey, SubPoset, enumerate_sub, make_key
+from .faces import (
+    ElementaryFace,
+    Face,
+    FaceError,
+    FaceKey,
+    SubPoset,
+    count_faces,
+    enumerate_sub,
+    make_key,
+)
 from .shuffles import PercolationPoset, Shuffle, enumerate_shuffles
 from .trees import PlanarTree, Tree, parse_tree, render_tree
 
@@ -24,12 +33,15 @@ class TensorAmbient:
     def __init__(self, s_tree: PlanarTree, t_tree: PlanarTree):
         self.s_tree = s_tree
         self.t_tree = t_tree
+        self.ident = (render_tree(s_tree), render_tree(t_tree))
         self.poset: PercolationPoset = enumerate_shuffles(s_tree, t_tree)
         self._universe: dict[FaceKey, Face] | None = None
 
-    @property
-    def ident(self) -> tuple[str, str]:
-        return (render_tree(self.s_tree), render_tree(self.t_tree))
+    def __eq__(self, other) -> bool:
+        return isinstance(other, TensorAmbient) and self.ident == other.ident
+
+    def __hash__(self) -> int:
+        return hash(self.ident)
 
     def sub(self, shuffle: Shuffle) -> SubPoset:
         return enumerate_sub(shuffle.tree.tree)
@@ -51,16 +63,23 @@ class TensorAmbient:
 Ambient = Union[Tree, TensorAmbient]
 
 
-def _universe_of(ambient: Ambient) -> dict[FaceKey, Face]:
+def _faces_by_key(
+    ambient: Ambient,
+) -> tuple[KeysView[FaceKey], Callable[[FaceKey], Optional[Face]]]:
+    """The keys of the ambient's faces, and the face with a given key or
+    ``None``: a tree is read from its poset's ``index``, with no copy of
+    it; a tensor from its universe."""
     if isinstance(ambient, TensorAmbient):
-        return ambient.universe
-    return {f.key: f for f in enumerate_sub(ambient)}
+        universe = ambient.universe
+        return universe.keys(), universe.get
+    poset = enumerate_sub(ambient)
+    index, faces = poset.index, poset.faces
+    return index.keys(), lambda key: None if (i := index.get(key)) is None else faces[i]
 
 
-def _same_ambient(a: Ambient, b: Ambient) -> bool:
-    if isinstance(a, TensorAmbient) and isinstance(b, TensorAmbient):
-        return a.ident == b.ident
-    return a == b
+def _universe_of(ambient: Ambient) -> dict[FaceKey, Face]:
+    keys, face_of = _faces_by_key(ambient)
+    return {k: face_of(k) for k in keys}
 
 
 @dataclass(frozen=True)
@@ -81,12 +100,12 @@ class FaceComplex:
         return len(self.members)
 
     def union(self, other: "FaceComplex") -> "FaceComplex":
-        if not _same_ambient(self.ambient, other.ambient):
+        if self.ambient != other.ambient:
             raise FaceError("complexes live in different ambients")
         return FaceComplex(self.ambient, self.members | other.members)
 
     def intersection(self, other: "FaceComplex") -> "FaceComplex":
-        if not _same_ambient(self.ambient, other.ambient):
+        if self.ambient != other.ambient:
             raise FaceError("complexes live in different ambients")
         return FaceComplex(self.ambient, self.members & other.members)
 
@@ -98,8 +117,8 @@ class FaceComplex:
 
     def missing_faces(self) -> list[Face]:
         """Ambient faces not in the complex, by rank then key."""
-        table = _universe_of(self.ambient)
-        out = [f for k, f in table.items() if k not in self.members]
+        keys, face_of = _faces_by_key(self.ambient)
+        out = [face_of(k) for k in keys if k not in self.members]
         out.sort(key=lambda f: (f.rank, f.key))
         return out
 
@@ -123,9 +142,11 @@ class FaceComplex:
         return sorted(k for k in self.members if k not in dominated)
 
     def is_closed(self) -> bool:
-        table = _universe_of(self.ambient)
+        _, face_of = _faces_by_key(self.ambient)
         for k in self.members:
-            for ef in enumerate_sub(table[k].ambient).faces_of(table[k]):
+            if (face := face_of(k)) is None:
+                raise KeyError(k)
+            for ef in enumerate_sub(face.ambient).faces_of(face):
                 if ef.domain.key not in self.members:
                     return False
         return True
@@ -148,7 +169,7 @@ def empty_complex(ambient: Ambient) -> FaceComplex:
 
 
 def full_complex(ambient: Ambient) -> FaceComplex:
-    return FaceComplex(ambient, frozenset(_universe_of(ambient)))
+    return FaceComplex(ambient, frozenset(_faces_by_key(ambient)[0]))
 
 
 def boundary_complex(t: Tree) -> FaceComplex:
@@ -189,7 +210,23 @@ def ambient_to_json(ambient: Ambient) -> dict:
 
 
 class MalformedCertificateError(ValueError):
-    """Certificate JSON with a missing key or a value of the wrong type."""
+    """Certificate JSON with a missing key or a value of the wrong type, or
+    an ambient too large to check."""
+
+
+# The largest ambient a certificate may name, checked before any poset is
+# built.  A poset's masks grow with the square of its face count, and the
+# count doubles with each vertex of a linear tree: x0[...x16] has 131,071
+# faces.  The ambients in use fit: x0[...x9] has 1,023 faces, and the
+# largest tensor in the tests, a0[a1 a2 a3] x b0[b1 b2[b4] b3[b5 b6 b7]],
+# has 27,665 in its five shuffle trees.
+MAX_FACES = 1 << 15
+MAX_TENSOR_VERTICES = 8
+
+
+def _check_faces(count: int, what: str) -> None:
+    if count > MAX_FACES:
+        raise MalformedCertificateError(f"{what} has more than {MAX_FACES} faces")
 
 
 def json_field(data, name: str, kind: type):
@@ -202,10 +239,23 @@ def json_field(data, name: str, kind: type):
 def ambient_from_json(data: dict) -> Ambient:
     kind = json_field(data, "type", str)
     if kind == "tree":
-        return parse_tree(json_field(data, "tree", str)).tree
+        tree = parse_tree(json_field(data, "tree", str)).tree
+        _check_faces(count_faces(tree), "the ambient tree")
+        return tree
     if kind == "tensor":
         s, t = json_field(data, "s", str), json_field(data, "t", str)
-        return TensorAmbient(parse_tree(s), parse_tree(t))
+        s_tree, t_tree = parse_tree(s), parse_tree(t)
+        S, T = s_tree.tree, t_tree.tree
+        if S.num_vertices() + T.num_vertices() > MAX_TENSOR_VERTICES:
+            raise MalformedCertificateError(
+                f"the tensor factors have more than {MAX_TENSOR_VERTICES} vertices"
+            )
+        # every shuffle tree has a leaf, so a face, per pair of leaves of S
+        # and T: a bound checked before the shuffles are built
+        _check_faces(len(S.leaves) * len(T.leaves), "the tensor")
+        ambient = TensorAmbient(s_tree, t_tree)
+        _check_faces(sum(count_faces(sh.tree.tree) for sh in ambient.poset), "the tensor")
+        return ambient
     raise MalformedCertificateError(f"unknown ambient type {kind!r}")
 
 

@@ -17,6 +17,7 @@ Elementary face maps come in three kinds:
 from __future__ import annotations
 
 import functools
+import math
 from typing import AbstractSet, Iterable, Iterator
 
 from .trees import EdgeBits, Operation, Tree, is_operation
@@ -279,12 +280,11 @@ def _elementary_domains(p: Face) -> list[tuple[str, str, int, int]]:
     names = bits.names
     edges, caps = p.edge_mask, p.cap_mask
     ids, parent, kids = _face_links(bits, edges)
-    leaves, root = 0, -1
+    root = bits.index[p.root]
+    leaves = 0
     for i in ids:
         if not kids[i]:
             leaves |= 1 << i
-        if parent[i] < 0:
-            root = i
     leaves &= ~caps
     inner, top = [], []
     for i in ids:
@@ -619,6 +619,30 @@ class SubPoset:
         if f_low and f_low.domain is g_low.domain:
             return f_low, g_low
         return None
+
+
+def count_faces(tree: Tree) -> int:
+    """The number of faces of ``Sub(tree)``, counted without building it.
+
+    A face rooted at an edge ``e`` is ``e`` alone, or ``e`` with its vertex
+    and one of ``M(c)`` choices over each input ``c``: ``c`` is a leaf of
+    the face, or the vertex over ``c`` is kept too (a stump's as a cap),
+    with ``c`` an edge of the face or contracted into the vertex below,
+    ``P(c)`` ways each, ``P`` being the product of ``M`` over the inputs.
+    So a leaf has ``A = M = 1``, any other edge ``A = 1 + P`` faces rooted
+    at it and ``M = 2P + 1``, and the count is the sum of ``A``.
+    """
+    ways: dict[str, int] = {}
+    total = 0
+    for e in sorted(tree.edges, key=tree.height, reverse=True):  # inputs first
+        if e in tree.leaves:
+            ways[e] = 1
+            total += 1
+        else:
+            p = math.prod(ways[c] for c in tree.children[e])
+            ways[e] = 2 * p + 1
+            total += 1 + p
+    return total
 
 
 _SUB_BOUND = 32

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .anodyne import ExtensionSet, filtration_steps, missing_covers
-from .certify import Certificate, ReplayGuardError, Step, class_of_steps, replay_guard
+from .certify import Certificate, ReplayGuardError, Step, replay_guard
 from .complexes import FaceComplex, TensorAmbient
 from .faces import (
     BOTTOM,
@@ -308,7 +308,7 @@ def essential_data(sh: Shuffle, face: Face, ctx: PPContext) -> EssentialData:
 
 
 def white_root_extension_set(
-    face: Face, top_colours: frozenset[str], base: FaceComplex, ctx: PPContext
+    face: Face, top_colours: frozenset[str], leaf_inputs, base: FaceComplex, ctx: PPContext
 ) -> ExtensionSet:
     """The covariant extension set of an essential face: inner faces at
     (l_j, x) for x in the T-top, and top faces over a leaf input l_j whose
@@ -319,7 +319,6 @@ def white_root_extension_set(
     and nothing of the T-top lies below y either.
     """
     T = ctx.t_tree.tree
-    _, leaf_inputs = _root_vertex_data(ctx.s_tree)
     sub = enumerate_sub(face.ambient)
 
     def top_shape(y: str) -> frozenset[str] | None:
@@ -374,8 +373,7 @@ def _sweep(ctx: PPContext, shuffles: list[Shuffle], fill, collect: list | None) 
             raise ReplayGuardError(f"shuffle not exhausted: {keys[:3]}")
     if ctx.current != set(ctx.tensor.universe):
         raise ReplayGuardError("pipeline did not reach the full tensor complex")
-    steps = tuple(ctx.steps)
-    return replay_guard(Certificate(ctx.tensor, base, class_of_steps(steps), steps))
+    return replay_guard(Certificate.of(ctx.tensor, base, ctx.steps))
 
 
 def certify_pp_stable(
@@ -434,7 +432,7 @@ def _fill_white_rooted(ctx: PPContext, sh: Shuffle, sub: SubPoset, l1, leaf_inpu
 
     def fill(face: Face, tc: frozenset[str]) -> None:
         local = ctx.local_base(sub, face)
-        ctx.run_filtration(white_root_extension_set(face, tc, local, ctx), ordr)
+        ctx.run_filtration(white_root_extension_set(face, tc, leaf_inputs, local, ctx), ordr)
 
     # first sweep: contractions of the distinguished root input
     for rp in over:
