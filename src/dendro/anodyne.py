@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .certify import Certificate, Step, class_of_steps, replay_guard
-from .complexes import FaceComplex, segal_core
+from .complexes import FaceComplex, bounded_tree, segal_core
 from .faces import (
     INNER,
     ElementaryFace,
@@ -59,13 +59,13 @@ class ExtensionSet:
 
     Every member is resolved to the equal map of the ambient's poset, so
     ``members`` and every list read from the set hold the poset's own
-    maps; a member that is not a cover of that poset raises
-    :class:`FaceError`.  ``members`` is one tuple in ``_sig`` order, whatever
-    order they came in; the missing faces of the view are a mask, listed in
-    ``missing``.  ``Sub(T)`` is a poset, so a cover is named by the
-    positions of its two ends: membership is a mask per codomain position,
-    with one bit per member domain position, kept only for the codomains
-    that have members."""
+    maps; a member that is not a cover of that poset, or whose codomain
+    lies outside the view, raises :class:`FaceError`.  ``members`` is one
+    tuple in ``_sig`` order, whatever order they came in; the missing faces
+    of the view are a mask, listed in ``missing``.  ``Sub(T)`` is a poset,
+    so a cover is named by the positions of its two ends: membership is a
+    mask per codomain position, with one bit per member domain position,
+    kept only for the codomains that have members."""
 
     def __init__(self, ambient: Tree, base: FaceComplex, members: Iterable[ElementaryFace],
                  top: Face | None = None):
@@ -77,6 +77,8 @@ class ExtensionSet:
         self.members = tuple(sorted({_own_cover(self.poset, ef) for ef in members}, key=_sig))
         present = self.poset.mask_of(base.members)
         for ef in self.members:
+            if not self.view >> ef.codomain.pos & 1:
+                raise FaceError(f"member {ef!r} lies outside the view of {self.top!r}")
             if present >> ef.domain.pos & 1 or present >> ef.codomain.pos & 1:
                 raise FaceError(f"member {ef!r} touches a non-missing face")
         self._missing_mask = self.view & ~present
@@ -124,17 +126,26 @@ def missing_covers(
 ) -> list[ElementaryFace]:
     """The maps an extension set may hold: the covers into the faces of
     the view of ``top`` (by default the full face) whose two ends are both
-    missing from ``base``.  Every extension-set builder filters these."""
+    missing from ``base``.  :func:`build_extension_set` filters these."""
     view = poset.downset_mask(poset.top if top is None else top)
     missing = view & ~poset.mask_of(base.members)
     faces = poset.faces_in(missing)
     return [ef for p in faces for ef in poset.faces_of(p) if missing >> ef.domain.pos & 1]
 
 
+def build_extension_set(
+    poset: SubPoset, base: FaceComplex, keep: Callable, top: Face | None = None
+) -> ExtensionSet:
+    """The one extension-set builder: the set over the view of ``top`` in
+    ``poset`` whose members are the missing covers that the rule ``keep``
+    accepts.  Every producer's set is a ``keep`` rule passed here."""
+    members = [ef for ef in missing_covers(poset, base, top) if keep(ef)]
+    return ExtensionSet(poset.ambient, base, members, top)
+
+
 def inner_extension_set(ambient: Tree, base: FaceComplex) -> ExtensionSet:
     """All inner face maps between missing faces (the Segal-core set)."""
-    members = [ef for ef in missing_covers(enumerate_sub(ambient), base) if ef.kind == INNER]
-    return ExtensionSet(ambient, base, members)
+    return build_extension_set(enumerate_sub(ambient), base, lambda ef: ef.kind == INNER)
 
 
 @dataclass
@@ -380,7 +391,8 @@ def build_filtration(es: ExtensionSet, ord: EdgeOrder) -> Certificate:
 def segal_certificate(pt) -> Certificate:
     """Certificate that the Segal core includes anodynely, via the inner
     extension set; the class is operadic for every tree with two or more
-    vertices."""
-    base = segal_core(pt.tree)
+    vertices.  A tree over the loader's size bound is refused before its
+    poset is built."""
+    base = segal_core(bounded_tree(pt.tree))
     es = inner_extension_set(pt.tree, base)
     return build_filtration(es, edge_order(pt))

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success or certificate accepted, 1 verification failed,
 2 parse, usage or malformed-certificate error or an unreadable file,
-3 precondition violation (inadmissible pair, missing edge or vertex).
+3 precondition violation (inadmissible pair, missing edge or vertex, or a
+producer input over the size bound that ``verify`` checks).
 """
 
 from __future__ import annotations

@@ -214,19 +214,58 @@ class MalformedCertificateError(ValueError):
     an ambient too large to check."""
 
 
+class AmbientTooLargeError(FaceError):
+    """A producer's input is over the size bound that the loader checks."""
+
+
 # The largest ambient a certificate may name, checked before any poset is
-# built.  A poset's masks grow with the square of its face count, and the
-# count doubles with each vertex of a linear tree: x0[...x16] has 131,071
-# faces.  The ambients in use fit: x0[...x9] has 1,023 faces, and the
-# largest tensor in the tests, a0[a1 a2 a3] x b0[b1 b2[b4] b3[b5 b6 b7]],
-# has 27,665 in its five shuffle trees.
+# built, by the loader and by the producers alike.  A poset's masks grow
+# with the square of its face count, and the count doubles with each vertex
+# of a linear tree: x0[...x16] has 131,071 faces.  The ambients in use fit:
+# x0[...x9] has 1,023 faces, and the largest tensor in the tests,
+# a0[a1 a2 a3] x b0[b1 b2[b4] b3[b5 b6 b7]], has 27,665 in its five
+# shuffle trees.
 MAX_FACES = 1 << 15
 MAX_TENSOR_VERTICES = 8
 
 
-def _check_faces(count: int, what: str) -> None:
+def _check_faces(count: int, what: str, error: type[Exception]) -> None:
     if count > MAX_FACES:
-        raise MalformedCertificateError(f"{what} has more than {MAX_FACES} faces")
+        raise error(f"{what} has more than {MAX_FACES} faces")
+
+
+def bounded_tree(tree: Tree, error: type[Exception] = AmbientTooLargeError) -> Tree:
+    """``tree``, refused with ``error`` when it has more than ``MAX_FACES``
+    faces, counted without building its poset."""
+    _check_faces(count_faces(tree), "the ambient tree", error)
+    return tree
+
+
+def tensor_face_floor(S: Tree, T: Tree) -> int:
+    """A lower bound on the faces of the shuffle trees of S and T in all,
+    from S and T alone.  Each shuffle tree has an edge per pair of leaves
+    and a root edge, which is no such pair unless neither factor has a
+    vertex, and each edge alone is a face.  When both factors have a vertex
+    the initial and terminal shuffles are two different trees."""
+    sides = (S.num_vertices() > 0) + (T.num_vertices() > 0)  # factors with a vertex
+    trees = 2 if sides == 2 else 1
+    return trees * (len(S.leaves) * len(T.leaves) + (sides > 0))
+
+
+def bounded_tensor(
+    s_tree: PlanarTree, t_tree: PlanarTree, error: type[Exception] = AmbientTooLargeError
+) -> TensorAmbient:
+    """The tensor of two trees, refused with ``error`` when its factors
+    have more than ``MAX_TENSOR_VERTICES`` vertices or its shuffle trees
+    more than ``MAX_FACES`` faces in all.  No poset is built, and the
+    shuffles only once ``tensor_face_floor`` is within the bound."""
+    S, T = s_tree.tree, t_tree.tree
+    if S.num_vertices() + T.num_vertices() > MAX_TENSOR_VERTICES:
+        raise error(f"the tensor factors have more than {MAX_TENSOR_VERTICES} vertices")
+    _check_faces(tensor_face_floor(S, T), "the tensor", error)
+    ambient = TensorAmbient(s_tree, t_tree)
+    _check_faces(sum(count_faces(sh.tree.tree) for sh in ambient.poset), "the tensor", error)
+    return ambient
 
 
 def json_field(data, name: str, kind: type):
@@ -240,22 +279,10 @@ def ambient_from_json(data: dict) -> Ambient:
     kind = json_field(data, "type", str)
     if kind == "tree":
         tree = parse_tree(json_field(data, "tree", str)).tree
-        _check_faces(count_faces(tree), "the ambient tree")
-        return tree
+        return bounded_tree(tree, MalformedCertificateError)
     if kind == "tensor":
         s, t = json_field(data, "s", str), json_field(data, "t", str)
-        s_tree, t_tree = parse_tree(s), parse_tree(t)
-        S, T = s_tree.tree, t_tree.tree
-        if S.num_vertices() + T.num_vertices() > MAX_TENSOR_VERTICES:
-            raise MalformedCertificateError(
-                f"the tensor factors have more than {MAX_TENSOR_VERTICES} vertices"
-            )
-        # every shuffle tree has a leaf, so a face, per pair of leaves of S
-        # and T: a bound checked before the shuffles are built
-        _check_faces(len(S.leaves) * len(T.leaves), "the tensor")
-        ambient = TensorAmbient(s_tree, t_tree)
-        _check_faces(sum(count_faces(sh.tree.tree) for sh in ambient.poset), "the tensor")
-        return ambient
+        return bounded_tensor(parse_tree(s), parse_tree(t), MalformedCertificateError)
     raise MalformedCertificateError(f"unknown ambient type {kind!r}")
 
 

@@ -57,20 +57,17 @@ class Face:
     bit order (:class:`~dendro.trees.EdgeBits`, sorted by name, so the key
     is read off the masks already sorted).  The root is set at
     construction: it is the unique minimal edge that validation finds.
-    ``edges``, ``caps``, ``parent`` and ``children`` are derived from the
-    masks on first read and then cached; ``maximal``, ``leaves`` and
-    ``inner_edges`` are derived on each call.  ``pos`` is the face's
-    position in the ``faces`` list of the :class:`SubPoset` that built it,
-    and ``-1`` for a face built outside a poset.
+    A face keeps nothing else: ``edges`` and ``caps`` are read from the
+    key, and ``parent``, ``children``, ``maximal``, ``leaves`` and
+    ``inner_edges`` are derived from the masks on each read.  ``pos`` is
+    the face's position in the ``faces`` list of the :class:`SubPoset`
+    that built it, and ``-1`` for a face built outside a poset.
 
     ``edges`` and ``caps`` are given as edge names, or as masks (the poset
     build passes masks); either way the face is validated on its masks.
     """
 
-    __slots__ = (
-        "ambient", "key", "rank", "pos", "edge_mask", "cap_mask",
-        "root", "_edges", "_caps", "_links",
-    )
+    __slots__ = ("ambient", "key", "rank", "pos", "edge_mask", "cap_mask", "root")
 
     def __init__(
         self, ambient: Tree, edges: Iterable[str] | int, caps: Iterable[str] | int = ()
@@ -106,21 +103,16 @@ class Face:
         self.pos = -1
         self.edge_mask = edges
         self.cap_mask = caps
-        self._edges = self._caps = self._links = None
 
     # -- structure, derived from the masks ------------------------------
 
     @property
     def edges(self) -> frozenset[str]:
-        if self._edges is None:
-            self._edges = frozenset(self.key[0])
-        return self._edges
+        return frozenset(self.key[0])
 
     @property
     def caps(self) -> frozenset[str]:
-        if self._caps is None:
-            self._caps = frozenset(self.key[1])
-        return self._caps
+        return frozenset(self.key[1])
 
     @property
     def parent(self) -> dict[str, str]:
@@ -133,14 +125,12 @@ class Face:
         return self._derive_links()[1]
 
     def _derive_links(self) -> tuple[dict[str, str], dict[str, tuple[str, ...]]]:
-        if self._links is None:
-            names = self.ambient.bits.names
-            ids, parent, kids = _face_links(self.ambient.bits, self.edge_mask)
-            self._links = (
-                {names[i]: names[parent[i]] for i in ids if parent[i] >= 0},
-                {names[i]: tuple([names[j] for j in _indices(kids[i])]) for i in ids},
-            )
-        return self._links
+        names = self.ambient.bits.names
+        ids, parent, kids = _face_links(self.ambient.bits, self.edge_mask)
+        return (
+            {names[i]: names[parent[i]] for i in ids if parent[i] >= 0},
+            {names[i]: tuple([names[j] for j in _indices(kids[i])]) for i in ids},
+        )
 
     @property
     def maximal(self) -> frozenset[str]:

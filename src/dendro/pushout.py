@@ -20,16 +20,18 @@ sweep keeps one mask of the present faces of the shuffle being filled.  The
 base complex is computed by projection tests: a tensor face lies in the
 base iff its S-projection lands in the horn or its T-projection is a
 proper face of T.  A projection is mask work on the face's edge and cap
-masks, through a colour table per shuffle tree.
+masks, through a colour table per shuffle tree.  Both pipelines refuse a
+tensor over the loader's size bound (``complexes.bounded_tensor``) before
+they build any poset.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .anodyne import ExtensionSet, filtration_steps, missing_covers
+from .anodyne import ExtensionSet, build_extension_set, filtration_steps
 from .certify import Certificate, ReplayGuardError, Step, replay_guard
-from .complexes import FaceComplex, TensorAmbient
+from .complexes import FaceComplex, TensorAmbient, bounded_tensor
 from .faces import (
     BOTTOM,
     INNER,
@@ -71,16 +73,16 @@ class PPContext:
     read from ``current`` when the context moves to another poset (or when
     ``current`` is replaced or grows from outside), and ``add_downset``
     keeps both up to date.  The base is decided by projections on colour
-    masks, from one colour table per shuffle tree (``_colours``).
+    masks, from one colour table per shuffle tree (``_colours``).  The
+    pipelines hand in a ``tensor`` checked against the loader's size bound.
     """
 
-    def __init__(self, s_tree: PlanarTree, t_tree: PlanarTree, omit_site: tuple[str, str]):
+    def __init__(self, s_tree: PlanarTree, t_tree: PlanarTree, omit_site: tuple[str, str],
+                 tensor: TensorAmbient | None = None):
         self.s_tree = s_tree
         self.t_tree = t_tree
-        S = s_tree.tree
-        self.omit_site = omit_site  # the horn of S being tensored
-        self.tensor = TensorAmbient(s_tree, t_tree)
-        self.s_sub = enumerate_sub(S)
+        self.tensor = TensorAmbient(s_tree, t_tree) if tensor is None else tensor
+        self.s_sub = enumerate_sub(s_tree.tree)
         self.t_sub = enumerate_sub(t_tree.tree)
         kind, at = omit_site
         omitted = self.s_sub.face_map(self.s_sub.top, kind, at)
@@ -264,15 +266,16 @@ def black_root_extension_set(sh: Shuffle, ctx: PPContext) -> ExtensionSet:
     rs = S.tree.root
     v_inputs = S.ordered_children(rs)
     xs = _white_vertex_sites(sh, rs)
-    sub = enumerate_sub(tr)
-    base = ctx.local_base(sub, sub.top)
-    members = []
-    for ef in missing_covers(sub, base):
+    sub = ctx.tensor.sub(sh)
+
+    def keep(ef) -> bool:
         s, x = split_name(ef.at)
-        if ef.kind == INNER and s == rs and x in xs:
-            if any(pair_name(l, x) in ef.codomain.edges for l in v_inputs):
-                members.append(ef)
-    return ExtensionSet(tr, base, members)
+        if ef.kind != INNER or s != rs or x not in xs:
+            return False
+        edges = ef.codomain.edges
+        return any(pair_name(l, x) in edges for l in v_inputs)
+
+    return build_extension_set(sub, ctx.local_base(sub, sub.top), keep)
 
 
 def _t_top(
@@ -308,9 +311,10 @@ def essential_data(sh: Shuffle, face: Face, ctx: PPContext) -> EssentialData:
 
 
 def white_root_extension_set(
-    face: Face, top_colours: frozenset[str], leaf_inputs, base: FaceComplex, ctx: PPContext
+    face: Face, top_colours: frozenset[str], leaf_inputs, sub: SubPoset, ctx: PPContext
 ) -> ExtensionSet:
-    """The covariant extension set of an essential face: inner faces at
+    """The covariant extension set of an essential face of the shuffle
+    poset ``sub``, over the present faces below it: inner faces at
     (l_j, x) for x in the T-top, and top faces over a leaf input l_j whose
     chopped vertex carries exactly the T-top colours above its output.
 
@@ -319,7 +323,6 @@ def white_root_extension_set(
     and nothing of the T-top lies below y either.
     """
     T = ctx.t_tree.tree
-    sub = enumerate_sub(face.ambient)
 
     def top_shape(y: str) -> frozenset[str] | None:
         over = frozenset(x for x in top_colours if x != y and T.leq(y, x))
@@ -329,23 +332,17 @@ def white_root_extension_set(
             return None
         return frozenset()
 
-    members = []
-    for ef in missing_covers(sub, base, face):
+    def keep(ef) -> bool:
         s, y = split_name(ef.at)
         if s not in leaf_inputs:
-            continue
+            return False
         if ef.kind == INNER:
-            if y in top_colours:
-                members.append(ef)
-        elif ef.kind == TOP:
-            shape = top_shape(y)
-            if shape is None:
-                continue
-            chopped = ef.codomain.vertex_inputs(ef.at)
-            want = frozenset(pair_name(s, c) for c in shape)
-            if chopped == want:
-                members.append(ef)
-    return ExtensionSet(face.ambient, base, members, face)
+            return y in top_colours
+        if ef.kind != TOP or (shape := top_shape(y)) is None:
+            return False
+        return ef.codomain.vertex_inputs(ef.at) == frozenset(pair_name(s, c) for c in shape)
+
+    return build_extension_set(sub, ctx.local_base(sub, face), keep, face)
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +385,7 @@ def certify_pp_stable(
     """
     require_admissible(s_tree, t_tree)
     l1, leaf_inputs = _root_vertex_data(s_tree)
-    ctx = PPContext(s_tree, t_tree, (BOTTOM, l1))
+    ctx = PPContext(s_tree, t_tree, (BOTTOM, l1), bounded_tensor(s_tree, t_tree))
 
     def fill(sh: Shuffle, sub: SubPoset) -> None:
         if sh.vertex_colour(sh.tree.tree.root) == BLACK:
@@ -414,39 +411,38 @@ def _fill_white_rooted(ctx: PPContext, sh: Shuffle, sub: SubPoset, l1, leaf_inpu
     ordr = edge_order(sh.tree)
     l1_rt = pair_name(l1, T.root)
     root_identity = frozenset({T.root}) if T.leaves else frozenset()
-    top = sub.top
+    top_caps = sub.top.caps
     hang_edges = {e for e in tr.edges if tr.leq(l1_rt, e)}
-    hanging = sub.face(make_key(hang_edges, top.caps & hang_edges))
-    over = [f for f in sub.downset(hanging) if f.root == l1_rt]
+    hanging = sub.face(make_key(hang_edges, top_caps & hang_edges))
+    # each hanging face over the root input, grafted onto the root vertex
+    # and the copies of T over the leaf inputs
+    copies = {tr.root} | {pair_name(l, t) for l in leaf_inputs for t in T.edges}
+    copy_caps = top_caps & copies
+    over = [
+        (rp, sub.face(make_key(copies | rp.edges, copy_caps | rp.caps)))
+        for rp in sub.downset(hanging)
+        if rp.root == l1_rt
+    ]
 
     def top_colours(face: Face) -> frozenset[str]:
         if not leaf_inputs:
             return frozenset()
         return _t_top(ctx, l1, face.maximal, root_identity)[1]
 
-    def grafted(rp: Face) -> Face:
-        edges = {tr.root} | {
-            pair_name(l, t) for l in leaf_inputs for t in T.edges
-        } | rp.edges
-        return sub.face(make_key(edges, (top.caps & (edges - rp.edges)) | rp.caps))
-
     def fill(face: Face, tc: frozenset[str]) -> None:
-        local = ctx.local_base(sub, face)
-        ctx.run_filtration(white_root_extension_set(face, tc, leaf_inputs, local, ctx), ordr)
+        ctx.run_filtration(white_root_extension_set(face, tc, leaf_inputs, sub, ctx), ordr)
 
     # first sweep: contractions of the distinguished root input
-    for rp in over:
+    for rp, whole in over:
         if rp.rank == 0:
             continue
-        whole = grafted(rp)
         contraction = sub.face_map(whole, INNER, l1_rt)
         if contraction is None:
             raise FaceError(f"{whole!r} has no elementary face inner({l1_rt})")
         fill(contraction.domain, top_colours(contraction.domain))
 
     # second sweep: one bottom horn per missing hanging face, then fill
-    for rp in over:
-        whole = grafted(rp)
+    for rp, whole in over:
         if whole.key in ctx.current:
             continue
         tc = top_colours(whole)
@@ -469,14 +465,16 @@ def certify_pp_inner(
     S = s_tree.tree
     if e not in S.inner_edges:
         raise InadmissiblePairError(f"{e!r} is not an inner edge of S")
-    ctx = PPContext(s_tree, t_tree, (INNER, e))
+    ctx = PPContext(s_tree, t_tree, (INNER, e), bounded_tensor(s_tree, t_tree))
     below = S.parent[e]
 
     def fill(sh: Shuffle, sub: SubPoset) -> None:
         sites = {(e, x) for x in _white_vertex_sites(sh, below)}
-        local = ctx.local_base(sub, sub.top)
-        covers = missing_covers(sub, local)
-        members = [ef for ef in covers if ef.kind == INNER and split_name(ef.at) in sites]
-        ctx.run_filtration(ExtensionSet(sh.tree.tree, local, members), edge_order(sh.tree))
+        es = build_extension_set(
+            sub,
+            ctx.local_base(sub, sub.top),
+            lambda ef: ef.kind == INNER and split_name(ef.at) in sites,
+        )
+        ctx.run_filtration(es, edge_order(sh.tree))
 
     return _sweep(ctx, ctx.tensor.poset.linearization(reverse=True), fill, collect)

@@ -12,7 +12,7 @@ import pytest
 
 from dendro.anodyne import AXIOMS, ExtensionSet, check_axioms, inner_extension_set
 from dendro.complexes import empty_complex, segal_core
-from dendro.faces import ADJACENT, MIXED, classify_pair, enumerate_sub
+from dendro.faces import ADJACENT, MIXED, FaceError, classify_pair, enumerate_sub
 from dendro.pushout import certify_pp_inner, certify_pp_stable
 from dendro.trees import parse_tree as p
 from dendro.trees import tree_catalog
@@ -156,12 +156,15 @@ def test_pushout_product_sets_match_reference(run):
         _assert_same(es)
 
 
-def _random_sets(text, rng, count):
+def _random_sets(text, rng, count, refused=None):
     """The inner set with one member swapped for another map between
     missing faces, which passes most checks before it fails; then random
     member subsets over the Segal-core base and the empty base, each on
-    the full view and on the view of a random face of rank >= 2 (where
-    some members lie outside the view, so that some joins do too)."""
+    the full view and on the view of a random face of rank >= 2, drawn
+    from the candidates whose codomain lies in that view.  Each candidate
+    outside the view must be refused when its set is built; the refused
+    ones are appended to ``refused``, when given."""
+    refused = [] if refused is None else refused
     t = p(text).tree
     poset = enumerate_sub(t)
     core = segal_core(t)
@@ -179,19 +182,26 @@ def _random_sets(text, rng, count):
                 members[rng.randrange(len(members))] = rng.choice(outer)
                 yield ExtensionSet(t, base, members)
         for top in (None, rng.choice([f for f in poset.faces if f.rank >= 2])):
+            view = poset.downset_mask(poset.top if top is None else top)
+            inside = [ef for ef in candidates if view >> ef.codomain.pos & 1]
+            for ef in candidates:
+                if not view >> ef.codomain.pos & 1:
+                    with pytest.raises(FaceError, match="outside the view"):
+                        ExtensionSet(t, base, [ef], top)
+                    refused.append(ef)
             for _ in range(count):
-                k = rng.randint(1, min(len(candidates), 8))
-                yield ExtensionSet(t, base, rng.sample(candidates, k), top)
+                k = rng.randint(1, min(len(inside), 8))
+                yield ExtensionSet(t, base, rng.sample(inside, k), top)
 
 
 def test_random_member_subsets_match_reference():
     rng = random.Random(20181)
-    reports = []
+    reports, refused = [], []
     for text in ("a[b[c[d]]]", "r[c[] d e[a b] f]", "r[a[b c] d[]]", "s0[s1[s2[s3]] s4[s5 s6]]"):
-        reports.extend(_assert_same(es) for es in _random_sets(text, rng, 24))
+        reports.extend(_assert_same(es) for es in _random_sets(text, rng, 24, refused))
     assert {ax for got in reports for ax in AXIOMS if got[ax]} == set(AXIOMS)
-    # F4 goes on past a non-unique join to the member's next extension
-    assert any(len(got["F4"]) > 1 and "non-unique join" in got["F4"][1] for got in reports)
+    # every out-of-view candidate was refused at construction, and there were some
+    assert refused
 
 
 def test_deep_intervals_match_reference():

@@ -1,9 +1,9 @@
 """A checker that loads and replays certificates reads only face keys.
 
-A poset face derives its edge and cap sets, its parents and its children
-from its masks on first read.  Loading and replaying a certificate needs
-none of them, so after a cold replay no face of any poset holds them: the
-verifier keeps one key, rank and position per face, not four containers.
+A poset face keeps only its key, rank, root, position and masks, and
+derives its edge and cap sets, its parents and its children on each read.
+Loading and replaying a certificate needs none of the links, so a cold
+replay derives the parents and children of no face.
 A poset, in turn, keeps one table keyed by face key, ``index``, and builds
 its cover list only when something reads it.
 """
@@ -31,12 +31,17 @@ def test_cold_replay_builds_no_face_structure(make, monkeypatch):
     text = make().dumps()
     cold = {}
     monkeypatch.setattr(faces, "_sub_cache", cold)
+    derived = []
+    derive = faces.Face._derive_links
+
+    def counted(face):
+        derived.append(face)
+        return derive(face)
+
+    monkeypatch.setattr(faces.Face, "_derive_links", counted)
     assert replay_certificate(Certificate.loads(text)).accepted
-    posets = list(cold.values())
-    assert sum(len(poset) for poset in posets) > 100
-    for poset in posets:
-        for f in poset:
-            assert (f._edges, f._caps, f._links) == (None, None, None), f
+    assert sum(len(poset) for poset in cold.values()) > 100
+    assert derived == []
 
 
 def test_poset_keeps_one_key_table_and_no_cover_list(monkeypatch):
