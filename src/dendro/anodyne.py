@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 from .certify import Certificate, Step, class_of_steps, replay_guard
 from .complexes import FaceComplex, bounded_tree, segal_core
@@ -52,37 +52,35 @@ def _sig(ef: ElementaryFace) -> tuple:
 
 
 class ExtensionSet:
-    """A base complex plus a set of elementary face maps whose endpoints
-    are both missing, over a face ``top`` of the ambient (by default the
-    full face).  A set over a face is a downset view: the faces of ``top``
-    are the faces below it in ``Sub(ambient)``, with the same keys.
+    """An extension set: the elementary face maps between missing faces of
+    one view that a rule keeps.  ``ExtensionSet(poset, base, keep, top)``
+    reads the view of ``top`` in ``poset`` (by default the full face), the
+    faces of the view missing from ``base``, and the covers between two
+    missing faces, and keeps those that ``keep`` accepts; every producer's
+    set is such a rule.  A set over a face is a downset view: the faces of
+    ``top`` are the faces below it in ``Sub(ambient)``, with the same keys.
 
-    Every member is resolved to the equal map of the ambient's poset, so
-    ``members`` and every list read from the set hold the poset's own
-    maps; a member that is not a cover of that poset, or whose codomain
-    lies outside the view, raises :class:`FaceError`.  ``members`` is one
-    tuple in ``_sig`` order, whatever order they came in; the missing faces
-    of the view are a mask, listed in ``missing``.  ``Sub(T)`` is a poset,
-    so a cover is named by the positions of its two ends: membership is a
-    mask per codomain position, with one bit per member domain position,
-    kept only for the codomains that have members."""
+    ``members`` holds the poset's own maps, as one tuple in ``_sig``
+    order; the missing faces of the view are a mask, listed in
+    ``missing``.  ``Sub(T)`` is a poset, so a cover is named by the
+    positions of its two ends: membership is a mask per codomain position,
+    with one bit per member domain position, kept only for the codomains
+    that have members."""
 
-    def __init__(self, ambient: Tree, base: FaceComplex, members: Iterable[ElementaryFace],
-                 top: Face | None = None):
-        self.ambient = ambient
+    def __init__(self, poset: SubPoset, base: FaceComplex,
+                 keep: Callable[[ElementaryFace], bool], top: Face | None = None):
+        self.poset = poset
+        self.ambient: Tree = poset.ambient
         self.base = base
-        self.poset: SubPoset = enumerate_sub(ambient)
-        self.top = self.poset.top if top is None else top
-        self.view = self.poset.downset_mask(self.top)
-        self.members = tuple(sorted({_own_cover(self.poset, ef) for ef in members}, key=_sig))
-        present = self.poset.mask_of(base.members)
-        for ef in self.members:
-            if not self.view >> ef.codomain.pos & 1:
-                raise FaceError(f"member {ef!r} lies outside the view of {self.top!r}")
-            if present >> ef.domain.pos & 1 or present >> ef.codomain.pos & 1:
-                raise FaceError(f"member {ef!r} touches a non-missing face")
-        self._missing_mask = self.view & ~present
-        self.missing: list[Face] = self.poset.faces_in(self._missing_mask)
+        self.top = poset.top if top is None else top
+        self.view = poset.downset_mask(self.top)
+        missing = self._missing_mask = self.view & ~poset.mask_of(base.members)
+        self.missing: list[Face] = poset.faces_in(missing)
+        self.members = tuple(sorted(
+            (ef for p in self.missing for ef in poset.faces_of(p)
+             if missing >> ef.domain.pos & 1 and keep(ef)),
+            key=_sig,
+        ))
         # by position: the member mask of each codomain and the members
         # into and out of each face
         self._mask: dict[int, int] = {}
@@ -110,42 +108,9 @@ class ExtensionSet:
         return self._exts_in.get(self.poset._pos(p), [])
 
 
-def _own_cover(poset: SubPoset, ef: ElementaryFace) -> ElementaryFace:
-    """The cover of ``poset`` equal to ``ef``; :class:`FaceError` if none."""
-    try:
-        own = poset.face_map(ef.codomain, ef.kind, ef.at)
-    except KeyError:  # the codomain is not a face of the poset
-        own = None
-    if own is None or own.domain.key != ef.domain.key:
-        raise FaceError(f"member {ef!r} is not a cover of the face poset of {poset.ambient!r}")
-    return own
-
-
-def missing_covers(
-    poset: SubPoset, base: FaceComplex, top: Face | None = None
-) -> list[ElementaryFace]:
-    """The maps an extension set may hold: the covers into the faces of
-    the view of ``top`` (by default the full face) whose two ends are both
-    missing from ``base``.  :func:`build_extension_set` filters these."""
-    view = poset.downset_mask(poset.top if top is None else top)
-    missing = view & ~poset.mask_of(base.members)
-    faces = poset.faces_in(missing)
-    return [ef for p in faces for ef in poset.faces_of(p) if missing >> ef.domain.pos & 1]
-
-
-def build_extension_set(
-    poset: SubPoset, base: FaceComplex, keep: Callable, top: Face | None = None
-) -> ExtensionSet:
-    """The one extension-set builder: the set over the view of ``top`` in
-    ``poset`` whose members are the missing covers that the rule ``keep``
-    accepts.  Every producer's set is a ``keep`` rule passed here."""
-    members = [ef for ef in missing_covers(poset, base, top) if keep(ef)]
-    return ExtensionSet(poset.ambient, base, members, top)
-
-
 def inner_extension_set(ambient: Tree, base: FaceComplex) -> ExtensionSet:
     """All inner face maps between missing faces (the Segal-core set)."""
-    return build_extension_set(enumerate_sub(ambient), base, lambda ef: ef.kind == INNER)
+    return ExtensionSet(enumerate_sub(ambient), base, lambda ef: ef.kind == INNER)
 
 
 @dataclass

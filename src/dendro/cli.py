@@ -3,7 +3,7 @@
 Exit codes: 0 success or certificate accepted, 1 verification failed,
 2 parse, usage or malformed-certificate error or an unreadable file,
 3 precondition violation (inadmissible pair, missing edge or vertex, or a
-producer input over the size bound that ``verify`` checks).
+``faces`` or producer input over the size bound that ``verify`` checks).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import sys
 from . import dot
 from .anodyne import segal_certificate
 from .certify import Certificate, replay_certificate
-from .complexes import MalformedCertificateError, key_to_json
+from .complexes import MalformedCertificateError, bounded_tree, key_to_json
 from .faces import FaceError, enumerate_sub
 from .order import edge_order
 from .pushout import InadmissiblePairError, certify_pp_inner, certify_pp_stable
@@ -57,7 +57,7 @@ def cmd_parse(args) -> int:
 
 def cmd_faces(args) -> int:
     pt = parse_tree(args.t)
-    sub = enumerate_sub(pt.tree)
+    sub = enumerate_sub(bounded_tree(pt.tree))
     if args.format == "dot":
         _write("\n".join(dot.face_dot(f, name=f"face{i}") for i, f in enumerate(sub)), args.out)
         return 0

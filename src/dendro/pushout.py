@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .anodyne import ExtensionSet, build_extension_set, filtration_steps
+from .anodyne import ExtensionSet, filtration_steps
 from .certify import Certificate, ReplayGuardError, Step, replay_guard
 from .complexes import FaceComplex, TensorAmbient, bounded_tensor
 from .faces import (
@@ -70,9 +70,9 @@ class PPContext:
     ``current`` is the set of keys of the faces present so far, across all
     shuffles; it is the authority.  Beside it the context keeps the mask of
     the present faces of one shuffle's poset, the one being filled: it is
-    read from ``current`` when the context moves to another poset (or when
-    ``current`` is replaced or grows from outside), and ``add_downset``
-    keeps both up to date.  The base is decided by projections on colour
+    read from ``current`` when the context moves to another poset, and
+    ``add_downset``, the one writer of ``current`` during a sweep, keeps
+    both up to date.  The base is decided by projections on colour
     masks, from one colour table per shuffle tree (``_colours``).  The
     pipelines hand in a ``tensor`` checked against the loader's size bound.
     """
@@ -95,8 +95,8 @@ class PPContext:
         self.extension_sets: list[ExtensionSet] | None = None  # kept only when collected
         self.phase = 0
         self._colour_tables: dict[Tree, tuple] = {}
-        self._present = 0  # present faces of the poset in _seen, as a mask
-        self._seen: tuple = (None, None, 0)  # (poset, current, len(current)) it was read for
+        self._sub: SubPoset | None = None  # the poset being filled
+        self._present = 0  # its present faces, as a mask
 
     # -- projections -----------------------------------------------------
 
@@ -171,13 +171,10 @@ class PPContext:
 
     def _present_mask(self, sub: SubPoset) -> int:
         """The mask of the present faces of ``sub``, re-read from
-        ``current`` unless it was last read or kept for this poset and this
-        ``current`` at its present size."""
-        current = self.current
-        poset, seen, size = self._seen
-        if poset is not sub or seen is not current or size != len(current):
-            self._present = sub.mask_of(current)
-            self._seen = (sub, current, len(current))
+        ``current`` only when the context moves to another poset."""
+        if sub is not self._sub:
+            self._present = sub.mask_of(self.current)
+            self._sub = sub
         return self._present
 
     def local_base(self, sub: SubPoset, top: Face) -> FaceComplex:
@@ -190,7 +187,6 @@ class PPContext:
         down = sub.downset_mask(face)
         self.current.update(f.key for f in sub.faces_in(down & ~present))
         self._present = present | down
-        self._seen = (sub, self.current, len(self.current))
 
     def next_phase(self) -> int:
         self.phase += 1
@@ -275,7 +271,7 @@ def black_root_extension_set(sh: Shuffle, ctx: PPContext) -> ExtensionSet:
         edges = ef.codomain.edges
         return any(pair_name(l, x) in edges for l in v_inputs)
 
-    return build_extension_set(sub, ctx.local_base(sub, sub.top), keep)
+    return ExtensionSet(sub, ctx.local_base(sub, sub.top), keep)
 
 
 def _t_top(
@@ -342,7 +338,7 @@ def white_root_extension_set(
             return False
         return ef.codomain.vertex_inputs(ef.at) == frozenset(pair_name(s, c) for c in shape)
 
-    return build_extension_set(sub, ctx.local_base(sub, face), keep, face)
+    return ExtensionSet(sub, ctx.local_base(sub, face), keep, face)
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +466,7 @@ def certify_pp_inner(
 
     def fill(sh: Shuffle, sub: SubPoset) -> None:
         sites = {(e, x) for x in _white_vertex_sites(sh, below)}
-        es = build_extension_set(
+        es = ExtensionSet(
             sub,
             ctx.local_base(sub, sub.top),
             lambda ef: ef.kind == INNER and split_name(ef.at) in sites,

@@ -1,12 +1,12 @@
-"""Every extension set is built one way, from the poset the caller holds.
+"""Every extension set is a rule over a poset.
 
-``anodyne.build_extension_set(poset, base, keep, top)`` keeps the missing
-covers of the view of ``top`` that the rule ``keep`` accepts.  It is the
-only place in ``src/dendro`` that constructs an ``ExtensionSet`` or calls
-``missing_covers``; the pushout builders read their shuffle's poset from
-the sweep or the tensor, so ``pushout`` calls ``enumerate_sub`` only for
-the posets of S and T; and a face keeps only its key, rank, root,
-position and masks.
+``ExtensionSet(poset, base, keep, top)`` is the one constructor: it keeps
+the covers between missing faces of the view of ``top`` that the rule
+``keep`` accepts, so no member list is passed and none needs checking.
+The producers call it from the four places that state their rules; the
+pushout builders read their shuffle's poset from the sweep or the tensor,
+so ``pushout`` calls ``enumerate_sub`` only for the posets of S and T; and
+a face keeps only its key, rank, root, position and masks.
 """
 
 import ast
@@ -53,14 +53,42 @@ def _calls(path: Path) -> list[tuple[str, str]]:
     return out
 
 
-def test_the_builder_is_the_one_place_that_makes_a_set():
+def _names(path: Path) -> set[str]:
+    """Every name defined, read or imported in one source file."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name)
+    return out
+
+
+def test_the_old_builders_are_gone():
+    for path in sorted(SRC.glob("*.py")):
+        assert not {"build_extension_set", "missing_covers", "_own_cover"} & _names(path), path
+    assert not hasattr(anodyne, "build_extension_set")
+
+
+def test_the_producers_state_their_rules_in_four_places():
     callers = {
         (path.name, scope)
         for path in sorted(SRC.glob("*.py"))
         for name, scope in _calls(path)
-        if name in ("ExtensionSet", "missing_covers")
+        if name == "ExtensionSet"
     }
-    assert callers == {("anodyne.py", "build_extension_set")}
+    assert callers == {
+        ("anodyne.py", "inner_extension_set"),
+        ("pushout.py", "black_root_extension_set"),
+        ("pushout.py", "white_root_extension_set"),
+        ("pushout.py", "certify_pp_inner.fill"),
+    }
+    init = [name for name, scope in _calls(SRC / "anodyne.py") if scope == "ExtensionSet.__init__"]
+    assert init and "enumerate_sub" not in init
 
 
 def test_pushout_reads_the_memo_only_for_s_and_t():
@@ -77,53 +105,49 @@ def test_a_face_keeps_no_cache():
 
 
 @pytest.fixture
-def builds(monkeypatch):
-    """Wrap ``build_extension_set`` (in every module that calls it) and
-    ``ExtensionSet.__init__``; yields ``(through, outside, returned)``: the
-    sets constructed inside a builder call, those constructed outside one,
-    and the sets the builder returned."""
-    through, outside, returned = [], [], []
-    depth = [0]
-    init, build = anodyne.ExtensionSet.__init__, anodyne.build_extension_set
+def built(monkeypatch):
+    """Wrap ``ExtensionSet.__init__``; yields the list of ``(set, poset,
+    base, keep, top)`` for every set constructed."""
+    out = []
+    init = anodyne.ExtensionSet.__init__
 
-    def counted_init(es, *args, **kwargs):
-        init(es, *args, **kwargs)
-        (through if depth[0] else outside).append(es)
+    def recorded(es, poset, base, keep, top=None):
+        init(es, poset, base, keep, top)
+        out.append((es, poset, base, keep, top))
 
-    def counted_build(*args, **kwargs):
-        depth[0] += 1
-        try:
-            es = build(*args, **kwargs)
-        finally:
-            depth[0] -= 1
-        returned.append(es)
-        return es
-
-    monkeypatch.setattr(anodyne.ExtensionSet, "__init__", counted_init)
-    for module in (anodyne, pushout):
-        monkeypatch.setattr(module, "build_extension_set", counted_build)
-    return through, outside, returned
+    monkeypatch.setattr(anodyne.ExtensionSet, "__init__", recorded)
+    return out
 
 
-def _same(a: list, b: list) -> bool:
-    return len(a) == len(b) and all(x is y for x, y in zip(a, b))
+def _literal(poset, base, keep, top):
+    """The definition: the covers into the view of ``top`` whose two ends
+    are not in the base, and that ``keep`` accepts."""
+    view = poset.downset_mask(poset.top if top is None else top)
+    return {
+        ef
+        for ef in poset.covers
+        if view >> poset.index[ef.codomain_key] & 1
+        and ef.domain.key not in base.members
+        and ef.codomain_key not in base.members
+        and keep(ef)
+    }
 
 
-def test_every_producer_set_comes_through_the_builder(builds):
-    through, outside, returned = builds
-    collected = []
+def test_every_producer_set_is_its_literal_definition(built):
     for s, t in GRID:
-        certify_pp_stable(parse_tree(s), parse_tree(t), collect=collected)
-        S = parse_tree(s)
+        S, T = parse_tree(s), parse_tree(t)
+        certify_pp_stable(S, T)
         for e in sorted(S.tree.inner_edges):
-            certify_pp_inner(S, e, parse_tree(t), collect=collected)
+            certify_pp_inner(S, e, T)
+    pp = len(built)
     segal = [pt for pt in tree_catalog(3, 3) if pt.tree.num_vertices() >= 2]
     for pt in segal:
         segal_certificate(pt)
-    assert outside == []
-    assert _same(through, returned)
-    # one set per Segal tree, and every set a pipeline filled is collected
-    assert len(collected) > len(GRID)
-    assert len(returned) == len(collected) + len(segal)
-    ids = {id(es) for es in returned}
-    assert all(id(es) in ids for es in collected)
+    assert pp > len(GRID) and len(built) == pp + len(segal)
+    members = 0
+    for es, poset, base, keep, top in built:
+        assert es.poset is poset
+        assert set(es.members) == _literal(poset, base, keep, top)
+        assert len(set(es.members)) == len(es.members)
+        members += len(es.members)
+    assert members

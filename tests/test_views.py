@@ -22,7 +22,7 @@ def test_face_view_equals_face_poset():
         sub = enumerate_sub(t)
         for face in sub:
             own = SubPoset(face.as_tree())
-            es = ExtensionSet(t, empty_complex(t), [], face)
+            es = ExtensionSet(sub, empty_complex(t), set().__contains__, face)
             view = sub.downset(face)
             assert [f.key for f in view] == [f.key for f in own.faces]
             assert [f.key for f in es.missing] == [f.key for f in own.faces]
