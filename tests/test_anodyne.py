@@ -32,6 +32,19 @@ def inner_set(text):
 
 
 class TestExtensionSet:
+    def test_members_must_be_missing(self):
+        t = tree("a[b[c]]")
+        sub = enumerate_sub(t)
+        base = segal_core(t)
+        present = [ef for ef in sub.covers if base.contains(ef.codomain_key)]
+        assert present
+        assert ExtensionSet(sub, base, set(present).__contains__).members == ()
+        every = ExtensionSet(sub, base, lambda ef: True).members
+        assert every
+        for ef in every:
+            assert not base.contains(ef.codomain_key)
+            assert not base.contains(ef.domain.key)
+
     def test_segal_set_of_linear_two(self):
         es = inner_set("a[b[c]]")
         assert len(es.members) == 1

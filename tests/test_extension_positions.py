@@ -12,8 +12,8 @@ from test_axioms_reference import _random_sets
 
 from dendro import anodyne, faces
 from dendro.anodyne import ExtensionSet, check_axioms, inner_extension_set
-from dendro.complexes import segal_core
-from dendro.faces import Face, SubPoset, enumerate_sub
+from dendro.complexes import empty_complex, segal_core
+from dendro.faces import INNER, TOP, ElementaryFace, Face, SubPoset, enumerate_sub
 from dendro.shuffles import enumerate_shuffles
 from dendro.trees import parse_tree as p
 from dendro.trees import tree_catalog
@@ -77,6 +77,33 @@ def test_foreign_maps_match_own_maps():
             assert es.contains_map(ef) is want and es.contains_map(other) is want
             assert twin.contains_map(ef) is want and twin.contains_map(other) is want
     assert failing and failing < len(sets)
+
+
+def test_member_that_is_not_a_cover_is_rejected():
+    t = p("a[b[c[d]]]").tree
+    poset = enumerate_sub(t)
+    base = empty_complex(t)
+    top = poset.top
+    two_down = poset.faces_of(poset.faces_of(top)[0].domain)[0].domain
+    relabelled = next(ef for ef in poset.faces_of(top) if ef.kind == INNER)
+    other = p("x[y[z]]").tree
+    bogus = {
+        ElementaryFace(INNER, "b", two_down, top),
+        ElementaryFace(TOP, relabelled.at, relabelled.domain, top),
+        ElementaryFace(INNER, "y", Face(other, {"x", "z"}), faces.full_face(other)),
+    }
+    # the rule is asked only about the poset's own covers, so a map that is
+    # not one of them never becomes a member
+    own = {id(ef) for ef in poset.covers}
+    asked = []
+
+    def keep(ef):
+        asked.append(ef)
+        return ef in bogus
+
+    assert ExtensionSet(poset, base, keep).members == ()
+    assert asked and all(id(ef) in own for ef in asked)
+    assert len(ExtensionSet(poset, base, lambda ef: True).members) == len(asked)
 
 
 def test_check_axioms_reads_the_set_poset(monkeypatch):
