@@ -29,8 +29,9 @@ from .complexes import (
     json_field,
     key_from_json,
     key_to_json,
+    posets_of,
 )
-from .faces import BOTTOM, INNER, TOP, FaceError, FaceKey, enumerate_sub
+from .faces import BOTTOM, INNER, TOP, FaceError, FaceKey
 
 OPERADIC = "operadic"
 COVARIANT = "covariant"
@@ -144,6 +145,7 @@ class Verdict:
 def replay_certificate(cert: Certificate) -> Verdict:
     """Replay a certificate step by step against its base complex."""
     keys, face_of = _faces_by_key(cert.ambient)
+    posets = posets_of(cert.ambient)
     current = set(cert.base.members)
     if not current <= keys:
         return Verdict(False, None, "base contains keys outside the ambient")
@@ -153,7 +155,7 @@ def replay_certificate(cert: Certificate) -> Verdict:
             return Verdict(False, i, f"step face {step.face} is not an ambient face")
         if face.key in current:
             return Verdict(False, i, f"step face {step.face} already present")
-        poset = enumerate_sub(face.ambient)
+        poset = posets[face.ambient]
         omit = poset.face_map(face, step.omit_kind, step.omit_at)
         if omit is None:
             return Verdict(False, i, f"omitted face {step.omit_kind}({step.omit_at}) not found")

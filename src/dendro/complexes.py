@@ -10,6 +10,7 @@ union of representables a genuine union.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, KeysView, Optional, Union
 
 from .faces import (
@@ -27,8 +28,8 @@ from .trees import PlanarTree, Tree, parse_tree, render_tree
 
 
 class TensorAmbient:
-    """The tensor of two planar trees: shuffle poset plus a global face
-    table shared by key across shuffles."""
+    """The tensor of two planar trees: shuffle poset, the face poset of
+    each shuffle tree and a global face table shared by key across them."""
 
     def __init__(self, s_tree: PlanarTree, t_tree: PlanarTree):
         self.s_tree = s_tree
@@ -43,15 +44,21 @@ class TensorAmbient:
     def __hash__(self) -> int:
         return hash(self.ident)
 
+    @cached_property
+    def posets(self) -> dict[Tree, SubPoset]:
+        """The face poset of each shuffle tree, built once per tensor from
+        the ``enumerate_sub`` memo, so that equal tensors share them."""
+        return {sh.tree.tree: enumerate_sub(sh.tree.tree) for sh in self.poset}
+
     def sub(self, shuffle: Shuffle) -> SubPoset:
-        return enumerate_sub(shuffle.tree.tree)
+        return self.posets[shuffle.tree.tree]
 
     @property
     def universe(self) -> dict[FaceKey, Face]:
         if self._universe is None:
             table: dict[FaceKey, Face] = {}
-            for sh in self.poset:
-                for f in self.sub(sh):
+            for poset in self.posets.values():
+                for f in poset:
                     table.setdefault(f.key, f)
             self._universe = table
         return self._universe
@@ -61,6 +68,14 @@ class TensorAmbient:
 
 
 Ambient = Union[Tree, TensorAmbient]
+
+
+def posets_of(ambient: Ambient) -> dict[Tree, SubPoset]:
+    """The face posets of an ambient by tree: a tensor's own, or the one
+    poset of a tree.  A reader asks once per call, not once per face."""
+    if isinstance(ambient, TensorAmbient):
+        return ambient.posets
+    return {ambient: enumerate_sub(ambient)}
 
 
 def _faces_by_key(
@@ -129,12 +144,8 @@ class FaceComplex:
         that holds it, so this is the face order.  A key outside the
         ambient (a loaded base may hold one) lies below no face, so it is
         maximal and kept verbatim."""
-        if isinstance(self.ambient, TensorAmbient):
-            posets = [self.ambient.sub(sh) for sh in self.ambient.poset]
-        else:
-            posets = [enumerate_sub(self.ambient)]
         dominated = set()
-        for poset in posets:
+        for poset in posets_of(self.ambient).values():
             mask = poset.mask_of(self.members)
             for f in poset.faces_in(mask):
                 if poset.upset_mask(f) & mask != 1 << f.pos:
@@ -142,11 +153,12 @@ class FaceComplex:
         return sorted(k for k in self.members if k not in dominated)
 
     def is_closed(self) -> bool:
+        posets = posets_of(self.ambient)
         _, face_of = _faces_by_key(self.ambient)
         for k in self.members:
             if (face := face_of(k)) is None:
                 raise KeyError(k)
-            for ef in enumerate_sub(face.ambient).faces_of(face):
+            for ef in posets[face.ambient].faces_of(face):
                 if ef.domain.key not in self.members:
                     return False
         return True
@@ -155,11 +167,12 @@ class FaceComplex:
 def closure(ambient: Ambient, faces: Iterable[Face]) -> FaceComplex:
     """The smallest complex containing the given faces: the OR of their
     downset masks in the poset of each ambient tree, read back once."""
+    posets = posets_of(ambient)
     masks: dict[Tree, int] = {}
     for f in faces:
-        masks[f.ambient] = masks.get(f.ambient, 0) | enumerate_sub(f.ambient).downset_mask(f)
+        masks[f.ambient] = masks.get(f.ambient, 0) | posets[f.ambient].downset_mask(f)
     members = frozenset(
-        f.key for tree, mask in masks.items() for f in enumerate_sub(tree).faces_in(mask)
+        f.key for tree, mask in masks.items() for f in posets[tree].faces_in(mask)
     )
     return FaceComplex(ambient, members)
 

@@ -644,12 +644,12 @@ def enumerate_sub(ambient: Tree) -> SubPoset:
 
     The memo holds at most ``_SUB_BOUND`` posets, oldest use first: a hit
     moves its tree to the end, and a miss appends the new poset and drops
-    the least recently used one once the memo is over the bound.  32 is
-    more than four times the largest working set of one operation: the
-    five shuffles of ``s0[s1[s2[s3[s4]]]] x t0[t1 t2]`` and its two trees,
-    for ``pp-stable`` or ``pp-inner`` and the replay of the certificate.
-    Nothing points back at a poset, so a dropped one is freed at once; a
-    face of it is still resolved by key in the rebuilt poset.
+    the least recently used one once the memo is over the bound.  It
+    shares posets between equal ambients: a tensor keeps its shuffle
+    posets (``TensorAmbient.posets``), and an equal tensor, such as a
+    loaded certificate's, finds them here.  It no longer holds one
+    operation's working set: a dropped poset is freed once no tensor holds
+    it, and a face of it is still resolved by key in the rebuilt poset.
     """
     poset = _sub_cache.pop(ambient, None)
     if poset is None:

@@ -20,9 +20,9 @@ sweep keeps one mask of the present faces of the shuffle being filled.  The
 base complex is computed by projection tests: a tensor face lies in the
 base iff its S-projection lands in the horn or its T-projection is a
 proper face of T.  A projection is mask work on the face's edge and cap
-masks, through a colour table per shuffle tree.  Both pipelines refuse a
+masks, through a colour table per shuffle tree.  ``PPContext`` refuses a
 tensor over the loader's size bound (``complexes.bounded_tensor``) before
-they build any poset.
+it builds any poset.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from .anodyne import ExtensionSet, filtration_steps
 from .certify import Certificate, ReplayGuardError, Step, replay_guard
-from .complexes import FaceComplex, TensorAmbient, bounded_tensor
+from .complexes import FaceComplex, bounded_tensor
 from .faces import (
     BOTTOM,
     INNER,
@@ -74,14 +74,13 @@ class PPContext:
     ``add_downset``, the one writer of ``current`` during a sweep, keeps
     both up to date.  The base is decided by projections on colour
     masks, from one colour table per shuffle tree (``_colours``).  The
-    pipelines hand in a ``tensor`` checked against the loader's size bound.
+    tensor is checked against the loader's size bound before any poset.
     """
 
-    def __init__(self, s_tree: PlanarTree, t_tree: PlanarTree, omit_site: tuple[str, str],
-                 tensor: TensorAmbient | None = None):
+    def __init__(self, s_tree: PlanarTree, t_tree: PlanarTree, omit_site: tuple[str, str]):
+        self.tensor = bounded_tensor(s_tree, t_tree)
         self.s_tree = s_tree
         self.t_tree = t_tree
-        self.tensor = TensorAmbient(s_tree, t_tree) if tensor is None else tensor
         self.s_sub = enumerate_sub(s_tree.tree)
         self.t_sub = enumerate_sub(t_tree.tree)
         kind, at = omit_site
@@ -92,7 +91,6 @@ class PPContext:
         self.t_full_key = self.t_sub.top.key
         self.current: set[FaceKey] = set()
         self.steps: list[Step] = []
-        self.extension_sets: list[ExtensionSet] | None = None  # kept only when collected
         self.phase = 0
         self._colour_tables: dict[Tree, tuple] = {}
         self._sub: SubPoset | None = None  # the poset being filled
@@ -193,8 +191,6 @@ class PPContext:
         return self.phase - 1
 
     def run_filtration(self, es: ExtensionSet, ordr: EdgeOrder) -> None:
-        if self.extension_sets is not None:
-            self.extension_sets.append(es)
         self.steps.extend(filtration_steps(es, ordr, phase=self.next_phase()))
         self.add_downset(es.poset, es.top)
 
@@ -275,12 +271,11 @@ def black_root_extension_set(sh: Shuffle, ctx: PPContext) -> ExtensionSet:
 
 
 def _t_top(
-    ctx: PPContext, l1: str, edges: frozenset[str], empty: frozenset[str]
+    S: Tree, T: Tree, l1: str, edges: frozenset[str], empty: frozenset[str]
 ) -> tuple[frozenset[str], frozenset[str]]:
     """The T-colours of the given edges that lie over the distinguished
     input ``l1`` of S, and their maximal elements in T (``empty`` when there
     are none), checked to form an operation of T with the root as output."""
-    S, T = ctx.s_tree.tree, ctx.t_tree.tree
     covered = frozenset(split_name(e)[1] for e in edges if S.leq(l1, split_name(e)[0]))
     top = frozenset(t for t in covered if not any(x != t and T.leq(t, x) for x in covered))
     top = top or empty
@@ -289,11 +284,11 @@ def _t_top(
     return covered, top
 
 
-def essential_data(sh: Shuffle, face: Face, ctx: PPContext) -> EssentialData:
+def essential_data(sh: Shuffle, face: Face) -> EssentialData:
     """T-covering and T-top of an essential face of a white-rooted shuffle."""
     tr = sh.tree.tree
-    l1, leaf_inputs = _root_vertex_data(ctx.s_tree)
-    T = ctx.t_tree.tree
+    l1, leaf_inputs = _root_vertex_data(sh.s_tree)
+    T = sh.t_tree.tree
     required = {
         pair_name(l, t)
         for l in leaf_inputs
@@ -302,7 +297,7 @@ def essential_data(sh: Shuffle, face: Face, ctx: PPContext) -> EssentialData:
     }
     if not required <= face.edges:
         raise FaceError("face is not essential: a copy over a leaf input is incomplete")
-    covered, top = _t_top(ctx, l1, face.leaves, frozenset())
+    covered, top = _t_top(sh.s_tree.tree, T, l1, face.leaves, frozenset())
     return EssentialData(face, covered, top)
 
 
@@ -346,12 +341,10 @@ def white_root_extension_set(
 # ---------------------------------------------------------------------------
 
 
-def _sweep(ctx: PPContext, shuffles: list[Shuffle], fill, collect: list | None) -> Certificate:
+def _sweep(ctx: PPContext, shuffles: list[Shuffle], fill) -> Certificate:
     """Run one pipeline: in the given order, hand every shuffle that is not
     yet full to ``fill(sh, sub)``, which must exhaust it; then check that
-    the steps reach the full tensor complex and replay the certificate.
-    ``collect``, when given, receives every extension set built."""
-    ctx.extension_sets = collect
+    the steps reach the full tensor complex and replay the certificate."""
     base = ctx.base_complex()
     ctx.current = set(base.members)
     for sh in shuffles:
@@ -369,19 +362,13 @@ def _sweep(ctx: PPContext, shuffles: list[Shuffle], fill, collect: list | None) 
     return replay_guard(Certificate.of(ctx.tensor, base, ctx.steps))
 
 
-def certify_pp_stable(
-    s_tree: PlanarTree, t_tree: PlanarTree, collect: list | None = None
-) -> Certificate:
+def certify_pp_stable(s_tree: PlanarTree, t_tree: PlanarTree) -> Certificate:
     """Certificate that the root-horn of S tensored against T fills in:
     ``horn(S) (x) T  u  S (x) boundary(T)  ->  S (x) T`` as a stable
-    anodyne extension.
-
-    ``collect``, when given, receives every extension set built along the
-    way (for auditing against the axioms).
-    """
+    anodyne extension."""
     require_admissible(s_tree, t_tree)
     l1, leaf_inputs = _root_vertex_data(s_tree)
-    ctx = PPContext(s_tree, t_tree, (BOTTOM, l1), bounded_tensor(s_tree, t_tree))
+    ctx = PPContext(s_tree, t_tree, (BOTTOM, l1))
 
     def fill(sh: Shuffle, sub: SubPoset) -> None:
         if sh.vertex_colour(sh.tree.tree.root) == BLACK:
@@ -389,7 +376,7 @@ def certify_pp_stable(
         else:
             _fill_white_rooted(ctx, sh, sub, l1, leaf_inputs)
 
-    return _sweep(ctx, ctx.tensor.poset.linearization(), fill, collect)
+    return _sweep(ctx, ctx.tensor.poset.linearization(), fill)
 
 
 def _fill_white_rooted(ctx: PPContext, sh: Shuffle, sub: SubPoset, l1, leaf_inputs) -> None:
@@ -423,7 +410,7 @@ def _fill_white_rooted(ctx: PPContext, sh: Shuffle, sub: SubPoset, l1, leaf_inpu
     def top_colours(face: Face) -> frozenset[str]:
         if not leaf_inputs:
             return frozenset()
-        return _t_top(ctx, l1, face.maximal, root_identity)[1]
+        return _t_top(ctx.s_tree.tree, T, l1, face.maximal, root_identity)[1]
 
     def fill(face: Face, tc: frozenset[str]) -> None:
         ctx.run_filtration(white_root_extension_set(face, tc, leaf_inputs, sub, ctx), ordr)
@@ -452,16 +439,14 @@ def _fill_white_rooted(ctx: PPContext, sh: Shuffle, sub: SubPoset, l1, leaf_inpu
         fill(whole, tc)
 
 
-def certify_pp_inner(
-    s_tree: PlanarTree, e: str, t_tree: PlanarTree, collect: list | None = None
-) -> Certificate:
+def certify_pp_inner(s_tree: PlanarTree, e: str, t_tree: PlanarTree) -> Certificate:
     """Certificate that the inner horn of S at ``e`` tensored against T
     fills in, using only inner horns (left percolation order)."""
     require_admissible(s_tree, t_tree)
     S = s_tree.tree
     if e not in S.inner_edges:
         raise InadmissiblePairError(f"{e!r} is not an inner edge of S")
-    ctx = PPContext(s_tree, t_tree, (INNER, e), bounded_tensor(s_tree, t_tree))
+    ctx = PPContext(s_tree, t_tree, (INNER, e))
     below = S.parent[e]
 
     def fill(sh: Shuffle, sub: SubPoset) -> None:
@@ -473,4 +458,4 @@ def certify_pp_inner(
         )
         ctx.run_filtration(es, edge_order(sh.tree))
 
-    return _sweep(ctx, ctx.tensor.poset.linearization(reverse=True), fill, collect)
+    return _sweep(ctx, ctx.tensor.poset.linearization(reverse=True), fill)

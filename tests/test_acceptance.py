@@ -10,6 +10,7 @@ import math
 import time
 
 import pytest
+from conftest import recorded_extension_sets
 
 from dendro.anodyne import canonical_extensions, check_axioms, segal_certificate
 from dendro.certify import replay_certificate
@@ -31,7 +32,7 @@ from dendro.faces import (
     valid_face_key,
 )
 from dendro.order import edge_order
-from dendro.pushout import PPContext, certify_pp_inner, certify_pp_stable, essential_data
+from dendro.pushout import certify_pp_inner, certify_pp_stable, essential_data
 from dendro.shuffles import brute_force_shuffles, enumerate_shuffles, pair_name
 from dendro.trees import parse_tree, tree, tree_catalog
 
@@ -150,8 +151,7 @@ def test_ac04_reference_values():
     }
     ess_caps = {pair_name(s, t) for s, t in [("2", "b"), ("2", "d"), ("3", "b"), ("3", "d")]}
     assert valid_face_key(sh2.tree.tree, ess_edges, ess_caps)
-    ctx = PPContext(S, T, ("bottom", "1"))
-    data = essential_data(sh2, Face(sh2.tree.tree, ess_edges, ess_caps), ctx)
+    data = essential_data(sh2, Face(sh2.tree.tree, ess_edges, ess_caps))
     assert data.covered == {"b", "c", "d"}
     assert data.top == {"b", "d"}
 
@@ -220,8 +220,8 @@ GRID = [
 def stable_certs():
     out = {}
     for s, t in GRID:
-        sets = []
-        cert = certify_pp_stable(parse_tree(s), parse_tree(t), collect=sets)
+        with recorded_extension_sets() as sets:
+            cert = certify_pp_stable(parse_tree(s), parse_tree(t))
         out[(s, t)] = (cert, sets)
     return out
 

@@ -9,6 +9,7 @@ same failures: the same strings, in the same order.
 import random
 
 import pytest
+from conftest import recorded_extension_sets
 
 from dendro.anodyne import AXIOMS, ExtensionSet, check_axioms, inner_extension_set
 from dendro.complexes import empty_complex, segal_core
@@ -143,14 +144,14 @@ def test_inner_sets_of_catalog_match_reference():
 @pytest.mark.parametrize(
     "run",
     [
-        lambda sets: certify_pp_stable(p("s0[s1 s2]"), p("t0[t1]"), collect=sets),
-        lambda sets: certify_pp_inner(p("s0[s1[s2]]"), "s1", p("t0[t1]"), collect=sets),
+        lambda: certify_pp_stable(p("s0[s1 s2]"), p("t0[t1]")),
+        lambda: certify_pp_inner(p("s0[s1[s2]]"), "s1", p("t0[t1]")),
     ],
     ids=["pp-stable s0[s1 s2] x t0[t1]", "pp-inner s0[s1[s2]] at s1 x t0[t1]"],
 )
 def test_pushout_product_sets_match_reference(run):
-    sets = []
-    run(sets)
+    with recorded_extension_sets() as sets:
+        run()
     assert sets
     for es in sets:
         _assert_same(es)

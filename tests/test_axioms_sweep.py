@@ -3,6 +3,7 @@ set of ``tree_catalog(5, 3)`` and every set of the benchmark's pushout
 grid.  Deselected by default; run it with ``pytest -m sweep``."""
 
 import pytest
+from conftest import recorded_extension_sets
 from test_axioms_reference import reference_check_axioms
 
 from dendro.anodyne import check_axioms, inner_extension_set
@@ -42,11 +43,11 @@ def test_inner_sets_of_catalog_5_3_match_reference():
 
 
 def test_pushout_grid_sets_match_reference():
-    sets = []
-    for s, t in PP_STABLE:
-        certify_pp_stable(p(s), p(t), collect=sets)
-    for s, e, t in PP_INNER:
-        certify_pp_inner(p(s), e, p(t), collect=sets)
+    with recorded_extension_sets() as sets:
+        for s, t in PP_STABLE:
+            certify_pp_stable(p(s), p(t))
+        for s, e, t in PP_INNER:
+            certify_pp_inner(p(s), e, p(t))
     assert len(sets) == 583
     for es in sets:
         assert check_axioms(es).failures == reference_check_axioms(es)

@@ -3,7 +3,7 @@ import pytest
 from dendro.anodyne import check_axioms
 from dendro.certify import replay_certificate
 from dendro.complexes import TensorAmbient, full_complex
-from dendro.faces import Face, enumerate_sub, full_face, make_key, valid_face_key
+from dendro.faces import Face, FaceError, enumerate_sub, full_face, make_key, valid_face_key
 from dendro.pushout import (
     InadmissiblePairError,
     PPContext,
@@ -47,35 +47,32 @@ class TestEssentialData:
         assert key in poset.index
         sh = poset.shuffles[poset.index[key]]
         assert sh.vertex_colour(sh.tree.tree.root) == WHITE
-        ctx = PPContext(S, T, ("bottom", "1"))
         face = Face(sh.tree.tree, names(ESSENTIAL_EDGES), names(ESSENTIAL_CAPS))
         # Sub of this shuffle is huge; the invariant predicate suffices
         assert valid_face_key(sh.tree.tree, face.edges, face.caps)
-        data = essential_data(sh, face, ctx)
+        data = essential_data(sh, face)
         assert data.covered == {"b", "c", "d"}
         assert data.top == {"b", "d"}
 
     def test_whole_shuffle_covers_t_leaves(self):
         S, T = parse_tree("s0[s1 s2]"), parse_tree("t0[t1 t2]")
         poset = enumerate_shuffles(S, T)
-        ctx = PPContext(S, T, ("bottom", "s1"))
         for sh in poset:
             tr = sh.tree.tree
             if sh.vertex_colour(tr.root) != WHITE:
                 continue
-            data = essential_data(sh, full_face(tr), ctx)
+            data = essential_data(sh, full_face(tr))
             assert data.covered == T.tree.leaves
 
     def test_non_essential_rejected(self):
         S, T = parse_tree("s0[s1 s2]"), parse_tree("t0[t1]")
         poset = enumerate_shuffles(S, T)
-        ctx = PPContext(S, T, ("bottom", "s1"))
         sh = next(
             s for s in poset if s.vertex_colour(s.tree.tree.root) == WHITE
         )
         bad = Face(sh.tree.tree, {sh.tree.tree.root})
-        with pytest.raises(Exception):
-            essential_data(sh, bad, ctx)
+        with pytest.raises(FaceError, match="not essential"):
+            essential_data(sh, bad)
 
 
 def restricted_order(ordr: EdgeOrder, face: Face) -> EdgeOrder:
@@ -253,7 +250,7 @@ class TestInvariants:
             for face in ctx.tensor.sub(sh):
                 if not fixed <= face.edges:
                     continue
-                data = essential_data(sh, face, ctx)
+                data = essential_data(sh, face)
                 for leaf in tr.leaves:
                     branch = tr.branch(leaf)
                     assert any(e.split(",")[1] in data.covered for e in branch)

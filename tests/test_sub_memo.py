@@ -2,14 +2,21 @@
 recently used first out.
 
 Each test runs on an empty memo swapped in for ``faces._sub_cache``.  The
-last test checks that the bound holds the working set of the largest
-single operation of the benchmark: a pushout product and the replay of its
-certificate build every poset they need once.
+last tests check that a pushout product and the replay of its certificate
+build every poset they need once, also for a tensor with more shuffles
+than the memo holds: the tensor keeps its shuffle posets, and the readers
+in ``complexes`` and ``certify`` take them from it.
 """
+
+import ast
+import inspect
+import textwrap
+from pathlib import Path
 
 import pytest
 
-from dendro import faces
+from dendro import certify, faces
+from dendro.complexes import FaceComplex
 from dendro.certify import Certificate, replay_certificate
 from dendro.faces import enumerate_sub
 from dendro.pushout import certify_pp_stable
@@ -96,3 +103,41 @@ def test_the_bound_holds_one_pushout_and_its_replay(cold, builds):
     assert replay_certificate(Certificate.loads(cert.dumps())).accepted
     assert len(builds) == len(set(builds)) == 7
     assert len(cold) == 7
+
+
+# C(7, 3) = 35 shuffles of two linear trees, more than the memo holds
+WIDE = ("s0[s1[s2[s3[s4]]]]", "t0[t1[t2[t3]]]")
+
+
+def test_a_wide_tensor_builds_each_poset_once(cold, builds):
+    cert = certify_pp_stable(*map(parse_tree, WIDE))
+    assert len(cert.ambient.poset) == 35 > BOUND
+    assert len(builds) == len(set(builds)) == 37
+
+
+def test_a_cold_replay_of_a_wide_tensor_builds_each_shuffle_poset_once(cold, builds):
+    text = certify_pp_stable(*map(parse_tree, WIDE)).dumps()
+    cold.clear()
+    builds.clear()
+    assert replay_certificate(Certificate.loads(text)).accepted
+    assert len(builds) == len(set(builds)) == 35
+
+
+def _names(tree: ast.AST) -> set[str]:
+    """Every name read, called or imported in a parsed source."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name)
+    return out
+
+
+def test_the_readers_take_posets_from_the_ambient():
+    source = ast.parse(Path(certify.__file__).read_text())
+    assert "enumerate_sub" not in _names(source)
+    maximal = ast.parse(textwrap.dedent(inspect.getsource(FaceComplex.maximal_members)))
+    assert "isinstance" not in _names(maximal)
