@@ -16,7 +16,6 @@ passes ``certify.replay_guard`` before it is returned.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Callable
 
 from .certify import Certificate, Step, class_of_steps, replay_guard
@@ -34,7 +33,7 @@ from .faces import (
     enumerate_sub,
 )
 from .order import EdgeOrder, compare_face_maps, edge_order
-from .trees import Tree
+from .trees import Record, Tree
 
 AXIOMS = ("F1", "F2", "F3", "F4", "F5")
 
@@ -113,9 +112,11 @@ def inner_extension_set(ambient: Tree, base: FaceComplex) -> ExtensionSet:
     return ExtensionSet(enumerate_sub(ambient), base, lambda ef: ef.kind == INNER)
 
 
-@dataclass
-class AxiomReport:
-    failures: dict[str, list[str]]
+class AxiomReport(Record):
+    __slots__ = ("failures",)
+
+    def __init__(self, failures: dict[str, list[str]]):
+        self.failures = failures
 
     @property
     def ok(self) -> bool:

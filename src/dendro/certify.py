@@ -15,13 +15,14 @@ to :func:`replay_guard` before returning it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .complexes import (
     Ambient,
     FaceComplex,
     MalformedCertificateError,
+    Record,
+    Value,
     _faces_by_key,
     ambient_from_json,
     ambient_to_json,
@@ -42,18 +43,20 @@ class ReplayGuardError(FaceError):
     """A freshly built certificate failed its own replay (internal bug)."""
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(Value):
     """One horn pushout.  ``batch`` is ``(phase, rank, extensions)``: steps
     sharing a batch label are mutually independent; the phase component
     separates the filtrations a composite certificate was assembled from,
     the other two are the rank of the omitted face and the number of its
     set-extensions."""
 
-    face: FaceKey
-    omit_kind: str
-    omit_at: str
-    batch: tuple[int, int, int]
+    __slots__ = ("face", "omit_kind", "omit_at", "batch")
+
+    def __init__(self, face: FaceKey, omit_kind: str, omit_at: str, batch: tuple[int, int, int]):
+        object.__setattr__(self, "face", face)
+        object.__setattr__(self, "omit_kind", omit_kind)
+        object.__setattr__(self, "omit_at", omit_at)
+        object.__setattr__(self, "batch", batch)
 
     def to_json(self) -> dict:
         return {
@@ -76,15 +79,19 @@ class Step:
         )
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Value):
     """An ordered list of horn-pushout steps from a base complex to the
     full complex of the ambient, with an anodyne class tag."""
 
-    ambient: Ambient
-    base: FaceComplex
-    class_tag: str
-    steps: tuple[Step, ...]
+    __slots__ = ("ambient", "base", "class_tag", "steps")
+
+    def __init__(
+        self, ambient: Ambient, base: FaceComplex, class_tag: str, steps: tuple[Step, ...]
+    ):
+        object.__setattr__(self, "ambient", ambient)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "class_tag", class_tag)
+        object.__setattr__(self, "steps", steps)
 
     @classmethod
     def of(cls, ambient: Ambient, base: FaceComplex, steps: Sequence[Step]) -> "Certificate":
@@ -132,11 +139,13 @@ def class_of_steps(steps: Sequence[Step]) -> str:
     return STABLE
 
 
-@dataclass(frozen=True)
-class Verdict:
-    accepted: bool
-    step_index: Optional[int] = None
-    reason: str = ""
+class Verdict(Value):
+    __slots__ = ("accepted", "step_index", "reason")
+
+    def __init__(self, accepted: bool, step_index: Optional[int] = None, reason: str = ""):
+        object.__setattr__(self, "accepted", accepted)
+        object.__setattr__(self, "step_index", step_index)
+        object.__setattr__(self, "reason", reason)
 
     def __bool__(self) -> bool:
         return self.accepted
@@ -161,12 +170,15 @@ def replay_certificate(cert: Certificate) -> Verdict:
             return Verdict(False, i, f"omitted face {step.omit_kind}({step.omit_at}) not found")
         if omit.domain.key in current:
             return Verdict(False, i, f"omitted face {omit.domain.key} already present")
-        # all_elementary_faces order (inner, top, bottom), which the poset
-        # sorts bottom first: "horn incomplete" names the first missing face
-        for ef in sorted(poset.faces_of(face), key=lambda ef: ef.kind == BOTTOM):
-            if ef is not omit and ef.domain.key not in current:
-                missing = f"face {ef.kind}({ef.at}) of {step.face} missing"
-                return Verdict(False, i, f"horn incomplete: {missing}")
+        faces = poset.faces_of(face)
+        missing = [ef for ef in faces if ef is not omit and ef.domain.key not in current]
+        if missing:
+            # "horn incomplete" names the first missing face in
+            # all_elementary_faces order (inner, top, bottom); the poset
+            # lists bottom faces first, and min keeps the first of equals
+            ef = min(missing, key=lambda ef: ef.kind == BOTTOM)
+            reason = f"horn incomplete: face {ef.kind}({ef.at}) of {step.face} missing"
+            return Verdict(False, i, reason)
         for ef in poset.faces_of(omit.domain):
             if ef.domain.key not in current:
                 reason = f"closure broken: face of the omitted face missing at step {i}"
@@ -191,16 +203,20 @@ def replay_guard(cert: Certificate) -> Certificate:
     return cert
 
 
-@dataclass(frozen=True)
-class Mutation:
-    description: str
-    same_batch_swap: bool
-    verdict: Verdict
+class Mutation(Value):
+    __slots__ = ("description", "same_batch_swap", "verdict")
+
+    def __init__(self, description: str, same_batch_swap: bool, verdict: Verdict):
+        object.__setattr__(self, "description", description)
+        object.__setattr__(self, "same_batch_swap", same_batch_swap)
+        object.__setattr__(self, "verdict", verdict)
 
 
-@dataclass
-class MutationReport:
-    mutations: list[Mutation]
+class MutationReport(Record):
+    __slots__ = ("mutations",)
+
+    def __init__(self, mutations: list[Mutation]):
+        self.mutations = mutations
 
 
 def mutate_and_check(cert: Certificate) -> MutationReport:

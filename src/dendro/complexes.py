@@ -9,7 +9,6 @@ union of representables a genuine union.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, KeysView, Optional, Union
 
@@ -24,7 +23,7 @@ from .faces import (
     make_key,
 )
 from .shuffles import PercolationPoset, Shuffle, enumerate_shuffles
-from .trees import PlanarTree, Tree, parse_tree, render_tree
+from .trees import PlanarTree, Record, Tree, Value, parse_tree, render_tree
 
 
 class TensorAmbient:
@@ -97,12 +96,14 @@ def _universe_of(ambient: Ambient) -> dict[FaceKey, Face]:
     return {k: face_of(k) for k in keys}
 
 
-@dataclass(frozen=True)
-class FaceComplex:
+class FaceComplex(Value):
     """An ambient together with a face-closed set of face keys."""
 
-    ambient: Ambient
-    members: frozenset[FaceKey]
+    __slots__ = ("ambient", "members")
+
+    def __init__(self, ambient: Ambient, members: frozenset[FaceKey]):
+        object.__setattr__(self, "ambient", ambient)
+        object.__setattr__(self, "members", members)
 
     def contains(self, face: Face | FaceKey) -> bool:
         key = face.key if isinstance(face, Face) else face

@@ -7,11 +7,10 @@ maps via their assigned operations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
 from .faces import BOTTOM, ElementaryFace, FaceError
-from .trees import Operation, PlanarTree
+from .trees import Operation, PlanarTree, Value
 
 LT, EQ, GT = -1, 0, 1
 
@@ -21,12 +20,14 @@ class CorollaBottomPairError(FaceError):
     undefined (this happens exactly for bottom faces of a corolla)."""
 
 
-@dataclass(frozen=True)
-class EdgeOrder:
+class EdgeOrder(Value):
     """A total order on the edges of a planar tree, extending the tree order."""
 
-    tree: PlanarTree
-    rank: Mapping[str, int]
+    __slots__ = ("tree", "rank")
+
+    def __init__(self, tree: PlanarTree, rank: Mapping[str, int]):
+        object.__setattr__(self, "tree", tree)
+        object.__setattr__(self, "rank", rank)
 
     def leq(self, a: str, b: str) -> bool:
         return self.rank[a] <= self.rank[b]

@@ -27,8 +27,6 @@ it builds any poset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .anodyne import ExtensionSet, filtration_steps
 from .certify import Certificate, ReplayGuardError, Step, replay_guard
 from .complexes import FaceComplex, bounded_tensor
@@ -45,7 +43,7 @@ from .faces import (
 )
 from .order import EdgeOrder, edge_order
 from .shuffles import BLACK, Shuffle, pair_name, split_name
-from .trees import Operation, PlanarTree, Tree, classify, is_operation
+from .trees import Operation, PlanarTree, Tree, Value, classify, is_operation
 
 
 class InadmissiblePairError(FaceError):
@@ -53,15 +51,17 @@ class InadmissiblePairError(FaceError):
     linear, or both factors open)."""
 
 
-@dataclass(frozen=True)
-class EssentialData:
+class EssentialData(Value):
     """Leaf-cover data of an essential face: the T-colours seen at leaves
     over the distinguished input, and their maximal elements (which always
     form an operation of T with the root as output)."""
 
-    face: Face
-    covered: frozenset[str]
-    top: frozenset[str]
+    __slots__ = ("face", "covered", "top")
+
+    def __init__(self, face: Face, covered: frozenset[str], top: frozenset[str]):
+        object.__setattr__(self, "face", face)
+        object.__setattr__(self, "covered", covered)
+        object.__setattr__(self, "top", top)
 
 
 class PPContext:

@@ -14,9 +14,7 @@ leaves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .trees import PlanarTree, Tree, TreeError
+from .trees import PlanarTree, Record, Tree, TreeError, Value
 
 WHITE = "white"
 BLACK = "black"
@@ -31,13 +29,15 @@ def split_name(e: str) -> tuple[str, str]:
     return s, t
 
 
-@dataclass(frozen=True)
-class Shuffle:
+class Shuffle(Value):
     """One shuffle, as a planar tree over pair-named edges."""
 
-    s_tree: PlanarTree
-    t_tree: PlanarTree
-    tree: PlanarTree
+    __slots__ = ("s_tree", "t_tree", "tree")
+
+    def __init__(self, s_tree: PlanarTree, t_tree: PlanarTree, tree: PlanarTree):
+        object.__setattr__(self, "s_tree", s_tree)
+        object.__setattr__(self, "t_tree", t_tree)
+        object.__setattr__(self, "tree", tree)
 
     @property
     def key(self) -> tuple[str, ...]:
@@ -153,19 +153,28 @@ def percolation_successors(sh: Shuffle) -> list[Shuffle]:
     return out
 
 
-@dataclass
-class PercolationPoset:
+class PercolationPoset(Record):
     """All shuffles of a pair, with the immediate-predecessor relation and
-    a fixed linearization extending it (right percolation order)."""
+    a fixed linearization extending it (right percolation order).
+    ``index`` (shuffle key to position) is derived from ``shuffles``."""
 
-    s_tree: PlanarTree
-    t_tree: PlanarTree
-    shuffles: list[Shuffle]
-    covers: list[tuple[int, int]]
-    index: dict[tuple[str, ...], int] = field(init=False)
+    __slots__ = ("s_tree", "t_tree", "shuffles", "covers", "index")
 
-    def __post_init__(self):
-        self.index = {sh.key: i for i, sh in enumerate(self.shuffles)}
+    def __init__(
+        self,
+        s_tree: PlanarTree,
+        t_tree: PlanarTree,
+        shuffles: list[Shuffle],
+        covers: list[tuple[int, int]],
+    ):
+        self.s_tree = s_tree
+        self.t_tree = t_tree
+        self.shuffles = shuffles
+        self.covers = covers
+        self.index = {sh.key: i for i, sh in enumerate(shuffles)}
+
+    def __reduce__(self):
+        return PercolationPoset, (self.s_tree, self.t_tree, self.shuffles, self.covers)
 
     def __len__(self) -> int:
         return len(self.shuffles)

@@ -14,7 +14,6 @@ up to sibling-permutation isomorphism used as a test corpus.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 
@@ -28,6 +27,52 @@ class TreeParseError(TreeError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
+
+
+class Record:
+    """A small mutable record whose fields are its ``__slots__``.
+
+    Equality and ``repr`` go by field, in slot order; a record is unhashable.
+    Pickle and copy rebuild a record by calling its class on its fields, so
+    a subclass's ``__init__`` takes its slots in order, or the subclass
+    defines its own ``__reduce__``.  These bases stand in for
+    ``dataclasses``, whose import pulls ``inspect``, ``ast``, ``dis`` and
+    ``tokenize`` into every fresh process.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
+
+
+class Value(Record):
+    """A frozen record, hashable by field.  ``__init__`` sets each field with
+    ``object.__setattr__``; assigning or deleting one later raises
+    ``AttributeError``."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class Tree:
@@ -180,14 +225,14 @@ class EdgeBits:
         self.below = tuple(below)
 
 
-@dataclass(frozen=True)
-class PlanarTree:
+class PlanarTree(Value):
     """A tree together with a total order on the inputs of every vertex."""
 
-    tree: Tree
-    input_order: Mapping[str, tuple[str, ...]]
+    __slots__ = ("tree", "input_order")
 
-    def __post_init__(self):
+    def __init__(self, tree: Tree, input_order: Mapping[str, tuple[str, ...]]):
+        object.__setattr__(self, "tree", tree)
+        object.__setattr__(self, "input_order", input_order)
         for e in self.tree.edges:
             if self.tree.is_leaf(e):
                 continue
@@ -217,15 +262,17 @@ class PlanarTree:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class Operation:
+class Operation(Value):
     """A candidate operation ``(inputs; output)`` of a tree.
 
     Validity is decided by :func:`is_operation`, not at construction.
     """
 
-    inputs: frozenset[str]
-    output: str
+    __slots__ = ("inputs", "output")
+
+    def __init__(self, inputs: frozenset[str], output: str):
+        object.__setattr__(self, "inputs", inputs)
+        object.__setattr__(self, "output", output)
 
     @staticmethod
     def of(inputs: Iterable[str], output: str) -> "Operation":
@@ -428,12 +475,16 @@ def operation_vertices(t: Tree, op: Operation) -> frozenset[str]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TreeInfo:
-    is_open: bool
-    is_linear: bool
-    is_corolla: bool
-    inner_edges: frozenset[str]
+class TreeInfo(Value):
+    __slots__ = ("is_open", "is_linear", "is_corolla", "inner_edges")
+
+    def __init__(
+        self, is_open: bool, is_linear: bool, is_corolla: bool, inner_edges: frozenset[str]
+    ):
+        object.__setattr__(self, "is_open", is_open)
+        object.__setattr__(self, "is_linear", is_linear)
+        object.__setattr__(self, "is_corolla", is_corolla)
+        object.__setattr__(self, "inner_edges", inner_edges)
 
 
 def classify(t: Tree) -> TreeInfo:

@@ -1,13 +1,21 @@
 """Import layering of ``src/dendro``, read from the source with ``ast``.
 
 The verifier (``certify``) owns the certificate format and its replay and
-imports none of the modules that produce certificates: it shares with them
-only the face and complex layers.  Every import sits at module level: an
-import inside a function hides a dependency (or a cycle) from the reader
-and from tools that rebind module-level names.
+imports none of the modules that produce certificates: its ``dendro``
+imports are exactly the face and complex layers.  Every import sits at
+module level: an import inside a function hides a dependency (or a cycle)
+from the reader and from tools that rebind module-level names.
+
+Every ``dendro`` command is a fresh process, so start-up cost is paid per
+command: no module imports ``dataclasses`` (which pulls in ``inspect``,
+``ast``, ``dis`` and ``tokenize``), and a fresh ``import dendro,
+dendro.cli`` loads none of those five modules.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -54,8 +62,36 @@ def function_level_imports(module: ast.Module) -> list[str]:
 
 def test_certify_imports_no_producer():
     imports = dendro_imports(_parse(SRC / "certify.py"))
-    assert imports, "expected certify to import the face layers"
     assert imports & PRODUCERS == set()
+    assert imports == {"faces", "complexes"}
+
+
+def absolute_imports(module: ast.Module) -> set[str]:
+    """Top-level names of the absolute imports in ``module``."""
+    out = set()
+    for node in ast.walk(module):
+        if isinstance(node, ast.Import):
+            out |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            out.add(node.module.split(".")[0])
+    return out
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_dataclasses(path):
+    assert "dataclasses" not in absolute_imports(_parse(path))
+
+
+def test_fresh_import_stays_lean():
+    # -S: only what dendro itself imports, not what site hooks add
+    code = "import sys, dendro, dendro.cli; print(' '.join(sorted(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    ).stdout.split()
+    assert "dendro.cli" in out
+    assert {"dataclasses", "inspect", "ast", "dis", "tokenize"} & set(out) == set()
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
