@@ -67,16 +67,31 @@ class Step(Value):
 
     @staticmethod
     def from_json(data: dict) -> "Step":
-        omit = json_field(data, "omit", dict)
-        batch = json_field(data, "batch", list)
-        if len(batch) != 3 or not all(isinstance(b, int) and not isinstance(b, bool) for b in batch):
+        """A step read from its JSON, in one pass of type checks: a field of
+        the wrong type is refused as :func:`~dendro.complexes.json_field`
+        would refuse it, in the order omit, batch, face, kind, at."""
+        if not isinstance(data, dict) or not isinstance(omit := data.get("omit"), dict):
+            raise MalformedCertificateError("'omit' must be a dict")
+        if not isinstance(batch := data.get("batch"), list):
+            raise MalformedCertificateError("'batch' must be a list")
+        if len(batch) != 3 or not _is_int_triple(*batch):
             raise MalformedCertificateError("'batch' must be a list of three integers")
-        return Step(
-            key_from_json(json_field(data, "face", dict)),
-            json_field(omit, "kind", str),
-            json_field(omit, "at", str),
-            tuple(batch),
-        )
+        if not isinstance(face := data.get("face"), dict):
+            raise MalformedCertificateError("'face' must be a dict")
+        face = key_from_json(face)
+        if not isinstance(kind := omit.get("kind"), str):
+            raise MalformedCertificateError("'kind' must be a str")
+        if not isinstance(at := omit.get("at"), str):
+            raise MalformedCertificateError("'at' must be a str")
+        return Step(face, kind, at, tuple(batch))
+
+
+def _is_int_triple(a, b, c) -> bool:
+    """Three JSON integers: ints and not bools."""
+    return (
+        isinstance(a, int) and isinstance(b, int) and isinstance(c, int)
+        and bool not in (type(a), type(b), type(c))
+    )
 
 
 class Certificate(Value):

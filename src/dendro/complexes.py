@@ -21,6 +21,7 @@ from .faces import (
     count_faces,
     enumerate_sub,
     make_key,
+    memo_sub,
 )
 from .shuffles import PercolationPoset, Shuffle, enumerate_shuffles
 from .trees import PlanarTree, Record, Tree, Value, parse_tree, render_tree
@@ -46,8 +47,10 @@ class TensorAmbient:
     @cached_property
     def posets(self) -> dict[Tree, SubPoset]:
         """The face poset of each shuffle tree, built once per tensor from
-        the ``enumerate_sub`` memo, so that equal tensors share them."""
-        return {sh.tree.tree: enumerate_sub(sh.tree.tree) for sh in self.poset}
+        the ``enumerate_sub`` memo, so that equal tensors share them; keyed
+        by each poset's own tree, as in :func:`posets_of`."""
+        posets = (enumerate_sub(sh.tree.tree) for sh in self.poset)
+        return {poset.ambient: poset for poset in posets}
 
     def sub(self, shuffle: Shuffle) -> SubPoset:
         return self.posets[shuffle.tree.tree]
@@ -71,10 +74,13 @@ Ambient = Union[Tree, TensorAmbient]
 
 def posets_of(ambient: Ambient) -> dict[Tree, SubPoset]:
     """The face posets of an ambient by tree: a tensor's own, or the one
-    poset of a tree.  A reader asks once per call, not once per face."""
+    poset of a tree.  Each is keyed by the poset's own tree, so that looking
+    up a face's ambient hits by identity.  A reader asks once per call, not
+    once per face."""
     if isinstance(ambient, TensorAmbient):
         return ambient.posets
-    return {ambient: enumerate_sub(ambient)}
+    poset = enumerate_sub(ambient)
+    return {poset.ambient: poset}
 
 
 def _faces_by_key(
@@ -290,10 +296,17 @@ def json_field(data, name: str, kind: type):
 
 
 def ambient_from_json(data: dict) -> Ambient:
+    """The ambient a certificate names, refused when over the size bound.
+    A tree whose text is the canonical DSL of one in the ``enumerate_sub``
+    memo is that poset's tree, with no parse; any other text is parsed."""
     kind = json_field(data, "type", str)
     if kind == "tree":
-        tree = parse_tree(json_field(data, "tree", str)).tree
-        return bounded_tree(tree, MalformedCertificateError)
+        text = json_field(data, "tree", str)
+        poset = memo_sub(text)
+        if poset is not None:
+            _check_faces(len(poset), "the ambient tree", MalformedCertificateError)
+            return poset.ambient
+        return bounded_tree(parse_tree(text).tree, MalformedCertificateError)
     if kind == "tensor":
         s, t = json_field(data, "s", str), json_field(data, "t", str)
         return bounded_tensor(parse_tree(s), parse_tree(t), MalformedCertificateError)
@@ -305,7 +318,12 @@ def key_to_json(key: FaceKey) -> dict:
 
 
 def key_from_json(item: dict) -> FaceKey:
-    edges, caps = json_field(item, "edges", list), json_field(item, "caps", list)
+    """A face key read from its JSON, refused as :func:`json_field` would
+    refuse a field of the wrong type."""
+    if not isinstance(item, dict) or not isinstance(edges := item.get("edges"), list):
+        raise MalformedCertificateError("'edges' must be a list")
+    if not isinstance(caps := item.get("caps"), list):
+        raise MalformedCertificateError("'caps' must be a list")
     if not all(isinstance(e, str) for e in edges + caps):
         raise MalformedCertificateError("face edges and caps must be strings")
     return make_key(edges, caps)

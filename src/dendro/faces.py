@@ -20,7 +20,7 @@ import functools
 import math
 from typing import AbstractSet, Iterable, Iterator
 
-from .trees import EdgeBits, Operation, Tree, is_operation
+from .trees import EdgeBits, Operation, Tree, is_operation, render_tree
 
 FaceKey = tuple[tuple[str, ...], tuple[str, ...]]
 
@@ -496,6 +496,11 @@ class SubPoset:
             up[i] = mask
 
     @functools.cached_property
+    def text(self) -> str:
+        """The ambient's canonical DSL, ``render_tree(ambient)``."""
+        return render_tree(self.ambient)
+
+    @functools.cached_property
     def covers(self) -> list[ElementaryFace]:
         order = sorted(range(len(self.faces)), key=lambda i: self.faces[i].key)
         return [ef for i in order for ef in self._into[i]]
@@ -650,14 +655,27 @@ def enumerate_sub(ambient: Tree) -> SubPoset:
     loaded certificate's, finds them here.  It no longer holds one
     operation's working set: a dropped poset is freed once no tensor holds
     it, and a face of it is still resolved by key in the rebuilt poset.
+    A hit keeps the memo's own tree as the key, the poset's ``ambient``;
+    :func:`memo_sub` finds a poset by the text of its tree.
     """
     poset = _sub_cache.pop(ambient, None)
     if poset is None:
         poset = SubPoset(ambient)
-    _sub_cache[ambient] = poset
+    _sub_cache[poset.ambient] = poset
     if len(_sub_cache) > _SUB_BOUND:
         del _sub_cache[next(iter(_sub_cache))]
     return poset
+
+
+def memo_sub(text: str) -> SubPoset | None:
+    """The memo's poset of the tree whose canonical DSL is ``text``, or
+    ``None``; a hit moves its tree to the end, as in :func:`enumerate_sub`.
+    It lets a loader skip parsing a tree the memo already holds."""
+    for tree, poset in reversed(_sub_cache.items()):
+        if poset.text == text:
+            _sub_cache[tree] = _sub_cache.pop(tree)
+            return poset
+    return None
 
 
 # ---------------------------------------------------------------------------

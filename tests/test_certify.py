@@ -4,7 +4,7 @@ import pytest
 
 from dendro.anodyne import Certificate, Step, class_of_steps, segal_certificate
 from dendro.certify import mutate_and_check, replay_certificate
-from dendro.complexes import boundary_complex, horn_complex
+from dendro.complexes import MalformedCertificateError, boundary_complex, horn_complex
 from dendro.faces import INNER, enumerate_sub, full_face, make_key
 from dendro.trees import parse_tree, tree
 
@@ -140,3 +140,56 @@ class TestMutations:
         broken = Certificate(cert.ambient, cert.base, "operadic", ())
         with pytest.raises(ValueError):
             mutate_and_check(broken)
+
+
+GOOD_STEP = {"face": {"edges": ["a", "b"], "caps": []}, "omit": {"kind": "inner", "at": "b"},
+             "batch": [0, 1, 1]}
+
+
+def _step(**fields):
+    data = json.loads(json.dumps(GOOD_STEP))
+    for name, value in fields.items():
+        part, _, sub = name.partition("__")
+        target = data[part] if sub else data
+        if value is None:
+            target.pop(sub or part)
+        else:
+            target[sub or part] = value
+    return data
+
+
+class TestStepDecode:
+    """Each malformed step is refused with the message of its first bad
+    field, read in the order omit, batch, face, kind, at."""
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ([], "'omit' must be a dict"),
+            (_step(omit=None), "'omit' must be a dict"),
+            (_step(omit=[], batch=None), "'omit' must be a dict"),
+            (_step(batch=None, face=None), "'batch' must be a list"),
+            (_step(batch=(0, 1, 1)), "'batch' must be a list"),
+            (_step(batch=[0, 1]), "'batch' must be a list of three integers"),
+            (_step(batch=[0, 1, True]), "'batch' must be a list of three integers"),
+            (_step(batch=[0, 1.0, 1], face=None), "'batch' must be a list of three integers"),
+            (_step(face=None, omit__kind=None), "'face' must be a dict"),
+            (_step(face=["a"]), "'face' must be a dict"),
+            (_step(face__edges="ab"), "'edges' must be a list"),
+            (_step(face__edges=None, face__caps=None), "'edges' must be a list"),
+            (_step(face__caps=None, omit__at=None), "'caps' must be a list"),
+            (_step(face__caps=[1]), "face edges and caps must be strings"),
+            (_step(face__edges=["a", None], omit__kind=3), "face edges and caps must be strings"),
+            (_step(omit__kind=3, omit__at=3), "'kind' must be a str"),
+            (_step(omit__at=None), "'at' must be a str"),
+        ],
+    )
+    def test_message_of_the_first_bad_field(self, data, message):
+        with pytest.raises(MalformedCertificateError) as info:
+            Step.from_json(data)
+        assert str(info.value) == message
+
+    def test_a_good_step_round_trips(self):
+        step = Step.from_json(GOOD_STEP)
+        assert step == Step(make_key(["a", "b"], []), INNER, "b", (0, 1, 1))
+        assert step.to_json() == GOOD_STEP
