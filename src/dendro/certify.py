@@ -236,9 +236,11 @@ class MutationReport(Record):
 
 def mutate_and_check(cert: Certificate) -> MutationReport:
     """Systematically drop, duplicate, and adjacent-swap steps, replaying
-    each mutant.  Intra-batch swaps are expected to pass (canonical
-    extensions within a batch are disjoint); everything else should be
-    rejected."""
+    each mutant.  A swap's verdict says whether the two steps are
+    independent: it replays exactly when the later step's horn needs none
+    of the faces the earlier one adds.  Intra-batch swaps always pass
+    (canonical extensions within a batch are disjoint), and so may swaps
+    across batches; ``same_batch_swap`` marks only the former."""
     base = replay_certificate(cert)
     if not base.accepted:
         raise ValueError(f"certificate must be accepted before mutating: {base.reason}")

@@ -20,7 +20,7 @@ import functools
 import math
 from typing import AbstractSet, Iterable, Iterator
 
-from .trees import EdgeBits, Operation, Tree, is_operation, render_tree
+from .trees import NAME_CHARS, EdgeBits, Operation, Tree, is_operation, render_tree
 
 FaceKey = tuple[tuple[str, ...], tuple[str, ...]]
 
@@ -496,9 +496,13 @@ class SubPoset:
             up[i] = mask
 
     @functools.cached_property
-    def text(self) -> str:
-        """The ambient's canonical DSL, ``render_tree(ambient)``."""
-        return render_tree(self.ambient)
+    def text(self) -> str | None:
+        """The ambient's canonical DSL, ``render_tree(ambient)``, or ``None``
+        when an edge name is no DSL name (a shuffle tree's ``s,t``), since
+        that text would not parse back to the ambient."""
+        if all(e and NAME_CHARS.issuperset(e) for e in self.ambient.edges):
+            return render_tree(self.ambient)
+        return None
 
     @functools.cached_property
     def covers(self) -> list[ElementaryFace]:

@@ -17,19 +17,17 @@ complex is reached and by replaying the certificate.  The fill steps:
 
 Every face a fill step uses is read from the shuffle's face poset, and the
 sweep keeps one mask of the present faces of the shuffle being filled.  The
-base complex is computed by projection tests: a tensor face lies in the
-base iff its S-projection lands in the horn or its T-projection is a
-proper face of T.  A projection is mask work on the face's edge and cap
-masks, through a colour table per shuffle tree.  ``PPContext`` refuses a
-tensor over the loader's size bound (``complexes.bounded_tensor``) before
-it builds any poset.
+base, ``horn(S) (x) T  u  S (x) boundary(T)``, is computed by its
+definition, from the shuffles of the elementary faces' tensors.
+``PPContext`` refuses a tensor over the loader's size bound
+(``complexes.bounded_tensor``) before it builds any poset.
 """
 
 from __future__ import annotations
 
 from .anodyne import ExtensionSet, filtration_steps
 from .certify import Certificate, ReplayGuardError, Step, replay_guard
-from .complexes import FaceComplex, bounded_tensor
+from .complexes import FaceComplex, bounded_tensor, closure
 from .faces import (
     BOTTOM,
     INNER,
@@ -42,7 +40,7 @@ from .faces import (
     make_key,
 )
 from .order import EdgeOrder, edge_order
-from .shuffles import BLACK, Shuffle, pair_name, split_name
+from .shuffles import BLACK, Shuffle, enumerate_shuffles, pair_name, split_name
 from .trees import Operation, PlanarTree, Tree, Value, classify, is_operation
 
 
@@ -72,9 +70,9 @@ class PPContext:
     the present faces of one shuffle's poset, the one being filled: it is
     read from ``current`` when the context moves to another poset, and
     ``add_downset``, the one writer of ``current`` during a sweep, keeps
-    both up to date.  The base is decided by projections on colour
-    masks, from one colour table per shuffle tree (``_colours``).  The
-    tensor is checked against the loader's size bound before any poset.
+    both up to date.  ``s_excluded`` holds the keys of the faces of S
+    outside the horn: the top face and the omitted one.  The tensor is
+    checked against the loader's size bound before any poset.
     """
 
     def __init__(self, s_tree: PlanarTree, t_tree: PlanarTree, omit_site: tuple[str, str]):
@@ -88,82 +86,32 @@ class PPContext:
         if omitted is None:
             raise FaceError(f"{self.s_sub.top!r} has no elementary face {kind}({at})")
         self.s_excluded = {self.s_sub.top.key, omitted.domain.key}
-        self.t_full_key = self.t_sub.top.key
         self.current: set[FaceKey] = set()
         self.steps: list[Step] = []
         self.phase = 0
-        self._colour_tables: dict[Tree, tuple] = {}
         self._sub: SubPoset | None = None  # the poset being filled
         self._present = 0  # its present faces, as a mask
 
-    # -- projections -----------------------------------------------------
-
-    def _colours(self, tree: Tree) -> tuple:
-        """The colour table of a shuffle tree, one ``(colours, hard)`` pair
-        per side: ``colours[i]`` is the bit, in that factor's ``bits``, of
-        the colour of edge bit ``i`` on that side, and ``hard`` is the mask
-        of the edge bits where a cap is hard on that side, because the
-        partner colour has a leaf at or above it."""
-        table = self._colour_tables.get(tree)
-        if table is None:
-            factors = (self.s_tree.tree, self.t_tree.tree)
-            live = [_live_mask(x) for x in factors]
-            colours, hard = ([], []), [0, 0]
-            for i, e in enumerate(tree.bits.names):
-                pos = [x.bits.index[c] for x, c in zip(factors, split_name(e))]
-                for side in (0, 1):
-                    colours[side].append(1 << pos[side])
-                    if live[1 - side] >> pos[1 - side] & 1:
-                        hard[side] |= 1 << i
-            table = self._colour_tables[tree] = tuple(zip(colours, hard))
-        return table
-
-    def _project(self, face: Face, side: int) -> FaceKey:
-        """Projection of a tensor face to one side (0 for S, 1 for T): its
-        edges are the colours of the face's edges, and a maximal one is
-        capped when a hard cap has its colour at or below it."""
-        colour, hard_edges = self._colours(face.ambient)[side]
-        own = (self.s_tree.tree, self.t_tree.tree)[side].bits
-        cols = hard = 0
-        m = face.edge_mask
-        while m:
-            low = m & -m
-            cols |= colour[low.bit_length() - 1]
-            m ^= low
-        m = face.cap_mask & hard_edges
-        while m:
-            low = m & -m
-            hard |= colour[low.bit_length() - 1]
-            m ^= low
-        above, below, names = own.above, own.below, own.names
-        edges, caps = [], []
-        m = cols
-        while m:
-            low = m & -m
-            i = low.bit_length() - 1
-            edges.append(names[i])
-            if not above[i] & cols and hard & (low | below[i]):
-                caps.append(names[i])
-            m ^= low
-        return tuple(edges), tuple(caps)
-
-    def in_base(self, face: Face) -> bool:
-        """Membership in horn(S) (x) T union S (x) boundary(T)."""
-        sp = self._project(face, 0)
-        if sp not in self.s_sub.index:
-            raise FaceError(f"S-projection {sp} of {face!r} is not a face")
-        if sp not in self.s_excluded:
-            return True
-        tp = self._project(face, 1)
-        if tp not in self.t_sub.index:
-            raise FaceError(f"T-projection {tp} of {face!r} is not a face")
-        return tp != self.t_full_key
-
     def base_complex(self) -> FaceComplex:
-        members = frozenset(
-            k for k, f in self.tensor.universe.items() if self.in_base(f)
-        )
-        return FaceComplex(self.tensor, members)
+        """``horn(S) (x) T  u  S (x) boundary(T)``: the closure of the
+        shuffles of ``A (x) T`` for each elementary face A of S but the
+        omitted one, and of ``S (x) B`` for each elementary face B of T.
+        A face is taken as a tree, caps becoming stumps, with its inputs in
+        name order: the edge sets of the shuffles do not depend on it."""
+        s_sub, t_sub = self.s_sub, self.t_sub
+        pairs = [
+            (_planar(ef.domain), self.t_tree)
+            for ef in s_sub.faces_of(s_sub.top)
+            if ef.domain.key not in self.s_excluded
+        ]
+        pairs += [(self.s_tree, _planar(ef.domain)) for ef in t_sub.faces_of(t_sub.top)]
+        universe = self.tensor.universe
+        faces = []
+        for a, b in pairs:
+            for sh in enumerate_shuffles(a, b):
+                tr = sh.tree.tree
+                faces.append(universe[make_key(tr.edges, tr.maximal_edges - tr.leaves)])
+        return closure(self.tensor, faces)
 
     # -- per-shuffle plumbing ---------------------------------------------
 
@@ -195,14 +143,10 @@ class PPContext:
         self.add_downset(es.poset, es.top)
 
 
-def _live_mask(tree: Tree) -> int:
-    """The mask of the edges of ``tree`` with a leaf at or above them."""
-    bits = tree.bits
-    live = 0
-    for leaf in tree.leaves:
-        i = bits.index[leaf]
-        live |= 1 << i | bits.below[i]
-    return live
+def _planar(face: Face) -> PlanarTree:
+    """A face as a planar tree, caps as stumps, inputs in name order."""
+    tree = face.as_tree()
+    return PlanarTree(tree, tree.children)
 
 
 def require_admissible(s_tree: PlanarTree, t_tree: PlanarTree) -> None:

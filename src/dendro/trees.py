@@ -283,7 +283,7 @@ class Operation(Value):
 # DSL
 # ---------------------------------------------------------------------------
 
-_NAME_CHARS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_")
+NAME_CHARS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_")
 
 
 def parse_tree(text: str) -> PlanarTree:
@@ -304,7 +304,7 @@ def parse_tree(text: str) -> PlanarTree:
     def parse_name() -> str:
         nonlocal pos
         start = pos
-        while pos < n and text[pos] in _NAME_CHARS:
+        while pos < n and text[pos] in NAME_CHARS:
             pos += 1
         if pos == start:
             raise TreeParseError("expected an edge name", start)
