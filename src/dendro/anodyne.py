@@ -308,20 +308,16 @@ def canonical_extensions(
     return pairs
 
 
-def filtration_steps(es: ExtensionSet, ord: EdgeOrder, phase: int = 0) -> list[Step]:
-    """Canonical extensions as horn steps, batched by (rank of the omitted
-    face, number of set-extensions of it), batches in ascending order."""
+def filtration_steps(es: ExtensionSet, ord: EdgeOrder) -> list[Step]:
+    """Canonical extensions as horn steps, ordered by (rank of the omitted
+    face, number of set-extensions of it, key of the omitted face)."""
     report = check_axioms(es)
     if not report.ok:
         raise AxiomError(report)
     pairs = canonical_extensions(es, ord)
-
-    def batch(ef: ElementaryFace) -> tuple[int, int, int]:
-        return (phase, ef.domain.rank, len(es._exts_in[ef.domain.pos]))
-
-    pairs.sort(key=lambda ef: (*batch(ef), ef.domain.key))
+    pairs.sort(key=lambda ef: (ef.domain.rank, len(es._exts_in[ef.domain.pos]), ef.domain.key))
     _assert_descent(es, pairs)
-    return [Step(ef.codomain_key, ef.kind, ef.at, batch(ef)) for ef in pairs]
+    return [Step(ef.codomain_key, ef.kind, ef.at) for ef in pairs]
 
 
 def _assert_descent(es: ExtensionSet, pairs: list[ElementaryFace]) -> None:

@@ -44,38 +44,30 @@ class ReplayGuardError(FaceError):
 
 
 class Step(Value):
-    """One horn pushout.  ``batch`` is ``(phase, rank, extensions)``: steps
-    sharing a batch label are mutually independent; the phase component
-    separates the filtrations a composite certificate was assembled from,
-    the other two are the rank of the omitted face and the number of its
-    set-extensions."""
+    """One horn pushout: the face it adds and the elementary face of it
+    that the horn omits."""
 
-    __slots__ = ("face", "omit_kind", "omit_at", "batch")
+    __slots__ = ("face", "omit_kind", "omit_at")
 
-    def __init__(self, face: FaceKey, omit_kind: str, omit_at: str, batch: tuple[int, int, int]):
+    def __init__(self, face: FaceKey, omit_kind: str, omit_at: str):
         object.__setattr__(self, "face", face)
         object.__setattr__(self, "omit_kind", omit_kind)
         object.__setattr__(self, "omit_at", omit_at)
-        object.__setattr__(self, "batch", batch)
 
     def to_json(self) -> dict:
         return {
             "face": key_to_json(self.face),
             "omit": {"kind": self.omit_kind, "at": self.omit_at},
-            "batch": list(self.batch),
         }
 
     @staticmethod
     def from_json(data: dict) -> "Step":
         """A step read from its JSON, in one pass of type checks: a field of
         the wrong type is refused as :func:`~dendro.complexes.json_field`
-        would refuse it, in the order omit, batch, face, kind, at."""
+        would refuse it, in the order omit, face, kind, at.  Other keys are
+        ignored."""
         if not isinstance(data, dict) or not isinstance(omit := data.get("omit"), dict):
             raise MalformedCertificateError("'omit' must be a dict")
-        if not isinstance(batch := data.get("batch"), list):
-            raise MalformedCertificateError("'batch' must be a list")
-        if len(batch) != 3 or not _is_int_triple(*batch):
-            raise MalformedCertificateError("'batch' must be a list of three integers")
         if not isinstance(face := data.get("face"), dict):
             raise MalformedCertificateError("'face' must be a dict")
         face = key_from_json(face)
@@ -83,15 +75,7 @@ class Step(Value):
             raise MalformedCertificateError("'kind' must be a str")
         if not isinstance(at := omit.get("at"), str):
             raise MalformedCertificateError("'at' must be a str")
-        return Step(face, kind, at, tuple(batch))
-
-
-def _is_int_triple(a, b, c) -> bool:
-    """Three JSON integers: ints and not bools."""
-    return (
-        isinstance(a, int) and isinstance(b, int) and isinstance(c, int)
-        and bool not in (type(a), type(b), type(c))
-    )
+        return Step(face, kind, at)
 
 
 class Certificate(Value):
@@ -219,11 +203,10 @@ def replay_guard(cert: Certificate) -> Certificate:
 
 
 class Mutation(Value):
-    __slots__ = ("description", "same_batch_swap", "verdict")
+    __slots__ = ("description", "verdict")
 
-    def __init__(self, description: str, same_batch_swap: bool, verdict: Verdict):
+    def __init__(self, description: str, verdict: Verdict):
         object.__setattr__(self, "description", description)
-        object.__setattr__(self, "same_batch_swap", same_batch_swap)
         object.__setattr__(self, "verdict", verdict)
 
 
@@ -236,23 +219,21 @@ class MutationReport(Record):
 
 def mutate_and_check(cert: Certificate) -> MutationReport:
     """Systematically drop, duplicate, and adjacent-swap steps, replaying
-    each mutant.  A swap's verdict says whether the two steps are
-    independent: it replays exactly when the later step's horn needs none
-    of the faces the earlier one adds.  Intra-batch swaps always pass
-    (canonical extensions within a batch are disjoint), and so may swaps
-    across batches; ``same_batch_swap`` marks only the former."""
+    each mutant.  A swap replays exactly when the two steps are
+    independent: the later step's horn, and the faces of its omitted face,
+    need none of the faces the earlier step adds."""
     base = replay_certificate(cert)
     if not base.accepted:
         raise ValueError(f"certificate must be accepted before mutating: {base.reason}")
     steps = tuple(cert.steps)
-    mutants: list[tuple[str, bool, tuple]] = []
+    mutants: list[tuple[str, tuple]] = []
     for i in range(len(steps)):
-        mutants.append((f"drop step {i}", False, steps[:i] + steps[i + 1 :]))
-        mutants.append((f"duplicate step {i}", False, steps[: i + 1] + steps[i:]))
+        mutants.append((f"drop step {i}", steps[:i] + steps[i + 1 :]))
+        mutants.append((f"duplicate step {i}", steps[: i + 1] + steps[i:]))
     for i in range(len(steps) - 1):
         swapped = steps[:i] + (steps[i + 1], steps[i]) + steps[i + 2 :]
-        mutants.append((f"swap steps {i},{i + 1}", steps[i].batch == steps[i + 1].batch, swapped))
+        mutants.append((f"swap steps {i},{i + 1}", swapped))
     return MutationReport([
-        Mutation(desc, same, replay_certificate(Certificate.of(cert.ambient, cert.base, mutant)))
-        for desc, same, mutant in mutants
+        Mutation(desc, replay_certificate(Certificate.of(cert.ambient, cert.base, mutant)))
+        for desc, mutant in mutants
     ])

@@ -656,9 +656,9 @@ def enumerate_sub(ambient: Tree) -> SubPoset:
     the least recently used one once the memo is over the bound.  It
     shares posets between equal ambients: a tensor keeps its shuffle
     posets (``TensorAmbient.posets``), and an equal tensor, such as a
-    loaded certificate's, finds them here.  It no longer holds one
-    operation's working set: a dropped poset is freed once no tensor holds
-    it, and a face of it is still resolved by key in the rebuilt poset.
+    loaded certificate's, finds them here.  A dropped poset is freed once
+    no tensor holds it, and a face of it is still resolved by key in the
+    rebuilt poset.
     A hit keeps the memo's own tree as the key, the poset's ``ambient``;
     :func:`memo_sub` finds a poset by the text of its tree.
     """

@@ -88,7 +88,6 @@ class PPContext:
         self.s_excluded = {self.s_sub.top.key, omitted.domain.key}
         self.current: set[FaceKey] = set()
         self.steps: list[Step] = []
-        self.phase = 0
         self._sub: SubPoset | None = None  # the poset being filled
         self._present = 0  # its present faces, as a mask
 
@@ -134,12 +133,8 @@ class PPContext:
         self.current.update(f.key for f in sub.faces_in(down & ~present))
         self._present = present | down
 
-    def next_phase(self) -> int:
-        self.phase += 1
-        return self.phase - 1
-
     def run_filtration(self, es: ExtensionSet, ordr: EdgeOrder) -> None:
-        self.steps.extend(filtration_steps(es, ordr, phase=self.next_phase()))
+        self.steps.extend(filtration_steps(es, ordr))
         self.add_downset(es.poset, es.top)
 
 
@@ -376,9 +371,7 @@ def _fill_white_rooted(ctx: PPContext, sh: Shuffle, sub: SubPoset, l1, leaf_inpu
         if rp.key not in ctx.current:
             corolla_leaves = {pair_name(l, x) for l in leaf_inputs for x in tc}
             capped = sub.face(make_key({tr.root} | corolla_leaves | rp.edges, rp.caps))
-            ctx.steps.append(
-                Step(capped.key, BOTTOM, l1_rt, (ctx.next_phase(), rp.rank, 0))
-            )
+            ctx.steps.append(Step(capped.key, BOTTOM, l1_rt))
             ctx.add_downset(sub, capped)
         fill(whole, tc)
 

@@ -155,10 +155,9 @@ def percolation_successors(sh: Shuffle) -> list[Shuffle]:
 
 class PercolationPoset(Record):
     """All shuffles of a pair, with the immediate-predecessor relation and
-    a fixed linearization extending it (right percolation order).
-    ``index`` (shuffle key to position) is derived from ``shuffles``."""
+    a fixed linearization extending it (right percolation order)."""
 
-    __slots__ = ("s_tree", "t_tree", "shuffles", "covers", "index")
+    __slots__ = ("s_tree", "t_tree", "shuffles", "covers")
 
     def __init__(
         self,
@@ -171,10 +170,6 @@ class PercolationPoset(Record):
         self.t_tree = t_tree
         self.shuffles = shuffles
         self.covers = covers
-        self.index = {sh.key: i for i, sh in enumerate(shuffles)}
-
-    def __reduce__(self):
-        return PercolationPoset, (self.s_tree, self.t_tree, self.shuffles, self.covers)
 
     def __len__(self) -> int:
         return len(self.shuffles)

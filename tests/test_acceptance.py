@@ -10,7 +10,7 @@ import math
 import time
 
 import pytest
-from conftest import recorded_extension_sets
+from conftest import independent_swaps, recorded_extension_sets, step_faces
 
 from dendro.anodyne import canonical_extensions, check_axioms, segal_certificate
 from dendro.certify import replay_certificate
@@ -130,7 +130,8 @@ def test_ac04_reference_values():
         ("4", "b"), ("5", "b"), ("1", "d"), ("2", "d"), ("3", "d"), ("4", "d"), ("5", "d"),
     }
     key = tuple(sorted(pair_name(s, t) for s, t in displayed))
-    assert key in poset.index
+    by_key = {sh.key: sh for sh in poset}
+    assert key in by_key
 
     # T-covering and T-top of the displayed essential face
     sh2_edges = {
@@ -139,8 +140,8 @@ def test_ac04_reference_values():
         ("2", "b"), ("2", "c"), ("2", "d"), ("3", "b"), ("3", "c"), ("3", "d"),
     }
     sh2_key = tuple(sorted(pair_name(s, t) for s, t in sh2_edges))
-    assert sh2_key in poset.index
-    sh2 = poset.shuffles[poset.index[sh2_key]]
+    assert sh2_key in by_key
+    sh2 = by_key[sh2_key]
     ess_edges = {
         pair_name(s, t)
         for s, t in [
@@ -283,23 +284,6 @@ def test_ac09_pushout_product_inner():
     _done("9 inner pushout-product certificates", t0, 60)
 
 
-def _step_data(universe, step):
-    face = universe[step.face]
-    omit = next(
-        ef
-        for ef in all_elementary_faces(face)
-        if (ef.kind, ef.at) == (step.omit_kind, step.omit_at)
-    )
-    added = {face.key, omit.domain.key}
-    needed = {
-        ef.domain.key
-        for ef in all_elementary_faces(face)
-        if (ef.kind, ef.at) != (step.omit_kind, step.omit_at)
-    }
-    needed |= {ef.domain.key for ef in all_elementary_faces(omit.domain)}
-    return added, needed
-
-
 def _swap(cert, i, j):
     from dendro.anodyne import Certificate, class_of_steps
 
@@ -315,16 +299,6 @@ def _drop_last(cert):
     return Certificate(cert.ambient, cert.base, class_of_steps(steps), steps)
 
 
-def _batch_runs(steps):
-    runs, run, prev = [], -1, None
-    for s in steps:
-        if s.batch != prev:
-            run += 1
-            prev = s.batch
-        runs.append(run)
-    return runs
-
-
 def test_ac10_verifier_hardening(stable_certs, catalog43):
     t0 = time.time()
     certs = [cert for cert, _ in stable_certs.values()]
@@ -333,35 +307,32 @@ def test_ac10_verifier_hardening(stable_certs, catalog43):
             certs.append(segal_certificate(pt))
     certs.append(certify_pp_inner(parse_tree("s0[s1[s2]]"), "s1", parse_tree("t0[t1 t2]")))
 
-    checked_intra = checked_dep = 0
+    checked_independent = checked_dep = 0
     for cert in certs:
         if not cert.steps:
             continue
         assert not replay_certificate(_drop_last(cert)).accepted
-        universe = _universe_of(cert.ambient)
-        runs = _batch_runs(cert.steps)
-        data = [_step_data(universe, s) for s in cert.steps]
-        # one dependent cross-batch pair, if any exists
+        added, needed = step_faces(cert)
+        # one dependent pair, if any exists, swapped however far apart
         dep = next(
             (
                 (i, j)
                 for i in range(len(cert.steps))
                 for j in range(i + 1, len(cert.steps))
-                if runs[i] != runs[j] and data[i][0] & data[j][1]
+                if added[i] & needed[j]
             ),
             None,
         )
         if dep is not None:
             assert not replay_certificate(_swap(cert, *dep)).accepted
             checked_dep += 1
-        for i in range(len(cert.steps) - 1):
-            if runs[i] == runs[i + 1]:
-                assert replay_certificate(_swap(cert, i, i + 1)).accepted
-                checked_intra += 1
-    assert checked_dep > 0 and checked_intra > 0
+        for i, independent in enumerate(independent_swaps(cert)):
+            assert replay_certificate(_swap(cert, i, i + 1)).accepted == independent
+            checked_independent += independent
+    assert checked_dep > 0 and checked_independent > 0
     _done(
         f"10 verifier hardening ({checked_dep} dependent swaps, "
-        f"{checked_intra} intra-batch swaps)",
+        f"{checked_independent} independent swaps)",
         t0,
         300,
     )

@@ -189,13 +189,13 @@ class TestFiltration:
     def test_class_of_steps(self):
         from dendro.anodyne import Step
 
-        assert class_of_steps([Step((("a",), ()), INNER, "x", (0, 1, 1))]) == "operadic"
-        assert class_of_steps([Step((("a",), ()), TOP, "x", (0, 1, 1))]) == "covariant"
+        assert class_of_steps([Step((("a",), ()), INNER, "x")]) == "operadic"
+        assert class_of_steps([Step((("a",), ()), TOP, "x")]) == "covariant"
         assert (
             class_of_steps(
                 [
-                    Step((("a",), ()), "bottom", "x", (0, 1, 1)),
-                    Step((("a",), ()), INNER, "y", (0, 1, 2)),
+                    Step((("a",), ()), "bottom", "x"),
+                    Step((("a",), ()), INNER, "y"),
                 ]
             )
             == "stable"

@@ -1,14 +1,30 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from dendro.anodyne import Certificate
 from dendro.cli import run
 
+DATA = Path(__file__).parent / "data"
+
 
 def capture(capsys):
     out = capsys.readouterr()
     return out.out, out.err
+
+
+def verify_mangled(capsys, tmp_path, mangle):
+    """The exit code and stderr of ``verify`` on the certificate of
+    ``a[b[c]]`` after ``mangle`` has edited its JSON in place."""
+    path = tmp_path / "cert.json"
+    assert run(["segal-cert", "--t", "a[b[c]]", "--out", str(path)]) == 0
+    data = json.loads(path.read_text())
+    mangle(data)
+    path.write_text(json.dumps(data))
+    capture(capsys)
+    code = run(["verify", str(path)])
+    return code, capture(capsys)[1]
 
 
 class TestParse:
@@ -130,21 +146,28 @@ class TestMalformedCertificates:
             lambda data: data["steps"][0].update(omit=5),
             lambda data: data.update(base="x"),
             lambda data: data["ambient"].update(type="blah"),
+        ],
+        ids=["no-steps", "omit-int", "base-str", "ambient-type-unknown"],
+    )
+    def test_bad_shape_exit_2(self, capsys, tmp_path, mangle):
+        code, err = verify_mangled(capsys, tmp_path, mangle)
+        assert code == 2
+        assert err.startswith("malformed certificate:")
+
+    @pytest.mark.parametrize(
+        "mangle",
+        [
             lambda data: data["steps"][0].update(batch=[True]),
             lambda data: [step.update(batch=[7]) for step in data["steps"]],
         ],
-        ids=["no-steps", "omit-int", "base-str", "ambient-type-unknown", "batch-bool", "batch-short"],
+        ids=["batch-bool", "batch-short"],
     )
-    def test_bad_shape_exit_2(self, capsys, tmp_path, mangle):
-        path = tmp_path / "cert.json"
-        assert run(["segal-cert", "--t", "a[b[c]]", "--out", str(path)]) == 0
-        data = json.loads(path.read_text())
-        mangle(data)
-        path.write_text(json.dumps(data))
-        capture(capsys)
-        assert run(["verify", str(path)]) == 2
-        _, err = capture(capsys)
-        assert err.startswith("malformed certificate:")
+    def test_unknown_step_key_ignored(self, capsys, tmp_path, mangle):
+        assert verify_mangled(capsys, tmp_path, mangle) == (0, "")
+
+    def test_certificate_with_batch_labels_exit_0(self, capsys):
+        assert run(["verify", str(DATA / "segal_abc_batch.json")]) == 0
+        assert capture(capsys) == ("accepted\n", "")
 
 
 class TestDeepTrees:
@@ -165,26 +188,16 @@ class TestFacesOutsideTheAmbient:
 
     FOREIGN = {"edges": ["zz"], "caps": []}
 
-    def verify_mangled(self, capsys, tmp_path, mangle):
-        path = tmp_path / "cert.json"
-        assert run(["segal-cert", "--t", "a[b[c]]", "--out", str(path)]) == 0
-        data = json.loads(path.read_text())
-        mangle(data)
-        path.write_text(json.dumps(data))
-        capture(capsys)
-        code = run(["verify", str(path)])
-        return code, capture(capsys)[1]
-
     def test_base_face_rejected(self, capsys, tmp_path):
-        code, err = self.verify_mangled(
+        code, err = verify_mangled(
             capsys, tmp_path, lambda data: data["base"].append(self.FOREIGN)
         )
         assert code == 1
         assert err == "rejected: base contains keys outside the ambient\n"
 
     def test_step_face_rejected(self, capsys, tmp_path):
-        step = {"face": self.FOREIGN, "omit": {"kind": "inner", "at": "b"}, "batch": [0, 1, 1]}
-        code, err = self.verify_mangled(
+        step = {"face": self.FOREIGN, "omit": {"kind": "inner", "at": "b"}}
+        code, err = verify_mangled(
             capsys, tmp_path, lambda data: data["steps"].insert(0, step)
         )
         assert code == 1
@@ -198,7 +211,7 @@ class TestFacesOutsideTheAmbient:
             data.clear()
             data.update(dumped)
 
-        code, err = self.verify_mangled(capsys, tmp_path, round_trip)
+        code, err = verify_mangled(capsys, tmp_path, round_trip)
         assert code == 1
         assert err == "rejected: base contains keys outside the ambient\n"
 

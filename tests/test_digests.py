@@ -13,37 +13,37 @@ PINNED = [
     (
         "segal r[c[] d e[a b] f]",
         lambda: segal_certificate(p("r[c[] d e[a b] f]")),
-        "7d9a1e3843bb247c4e0738b77040c774f681d0c5bfb9a6025703f034efd5ebd8",
+        "f90a85b566fd34576aa134a95ddf4029a8f3340f8028a9aef6de6663dbecc0f9",
     ),
     (
         "segal x0[x1[x2[x3[x4[x5]]]]]",
         lambda: segal_certificate(p("x0[x1[x2[x3[x4[x5]]]]]")),
-        "aa0be2212457170c207a1dbf5db20ede731fac6f361d11050b6f891e8ac024d8",
+        "f578d7d14b70d730afa3a652f8fd75bd8e540fb6973dcfc82777a3a87ff7982f",
     ),
     (
         "pp-stable s0[s1 s2] x t0[t1 t2]",
         lambda: certify_pp_stable(p("s0[s1 s2]"), p("t0[t1 t2]")),
-        "745eb30539d5357742743728d14550c4a4c843526e3aa284a0a8def99a5afce8",
+        "15a9e826df339190993f4f48d7d25b749790af2274b35bd5400c676ed0a75aac",
     ),
     (
         "pp-stable s0[s1[s2]] x t0[t1 t2]",
         lambda: certify_pp_stable(p("s0[s1[s2]]"), p("t0[t1 t2]")),
-        "893ba03e1e20bc923fdc810b262d1c77c7b5e859831dad1878bcd60083db2e3e",
+        "13eb5610891387a6cee12b66f72b2c6204a66a18b4e9341d279a231525c2a5c9",
     ),
     (
         "pp-stable s0[s1] x a[b[] c]",
         lambda: certify_pp_stable(p("s0[s1]"), p("a[b[] c]")),
-        "5c427d0ecd9a3ec67ae6f3441d0da2fbbab3a92088e8f383e2e9d7c901072d82",
+        "b8cc08d968e2ea9b5b9bf10f4eba20d70130117c3789796ab5e76cbd8e329b81",
     ),
     (
         "pp-stable s0[s1 s2] x t0[t1[t2]]",
         lambda: certify_pp_stable(p("s0[s1 s2]"), p("t0[t1[t2]]")),
-        "73956e3a22bd5efcb92408af8942c54f771a094d51d280aed2b97e31cab3cbcf",
+        "bf7c085bf8f29615ae737188f14f59dc1e73de4ae7ec6a454105dfb7c91e5840",
     ),
     (
         "pp-inner s0[s1[s2]] at s1 x t0[t1 t2]",
         lambda: certify_pp_inner(p("s0[s1[s2]]"), "s1", p("t0[t1 t2]")),
-        "2e44752f933e568628be8eebe6dd67adbb716daaa76a22b22ade0119e19aca56",
+        "87a6254e3681b1d8a55ddc029b009e927507f31ba1566a5c886ba34b1a9770de",
     ),
 ]
 

@@ -2,11 +2,13 @@
 
 Each test runs cold: ``faces._sub_cache`` is swapped for an empty dict, so
 every poset a run needs is built inside the test.  The count guards count
-``Face.__init__`` calls; the reference below is the earlier run-index
-definition of a same-batch swap in ``certify.mutate_and_check``.
+``Face.__init__`` calls.  An adjacent swap of ``certify.mutate_and_check``
+replays exactly when the two steps are independent by the rule of
+``conftest.independent_swaps``.
 """
 
 import pytest
+from conftest import independent_swaps
 
 from dendro import faces
 from dendro.anodyne import segal_certificate
@@ -51,33 +53,31 @@ def test_segal_certificate_builds_only_poset_faces(cold, built):
     assert len(built) == len(enumerate_sub(pt.tree)) == 18
 
 
-def reference_batch_runs(steps):
-    runs, run_index, prev = [], -1, None
-    for s in steps:
-        if s.batch != prev:
-            run_index += 1
-            prev = s.batch
-        runs.append(run_index)
-    return runs
-
-
 @pytest.mark.parametrize(
-    "make",
+    "make, independent, swaps",
     [
-        lambda: segal_certificate(parse_tree("x0[x1[x2[x3[x4[x5[x6]]]]]]")),
-        lambda: certify_pp_stable(parse_tree("s0[s1 s2]"), parse_tree("t0[t1 t2]")),
+        (lambda: certify_pp_stable(parse_tree("s0[s1[s2[s3]]]"), parse_tree("t0[t1 t2]")), 89, 92),
+        (lambda: certify_pp_stable(parse_tree("s0[s1 s2]"), parse_tree("t0[t1[t2]]")), 12, 20),
+        (lambda: segal_certificate(parse_tree("x0[x1[x2[x3[x4[x5[x6]]]]]]")), 54, 56),
+        (lambda: certify_pp_inner(parse_tree("s0[s1[s2]]"), "s1", parse_tree("t0[t1 t2]")), 19, 24),
     ],
-    ids=["segal x0[...x6]", "pp-stable s0[s1 s2] x t0[t1 t2]"],
+    ids=[
+        "pp-stable s0[s1[s2[s3]]] x t0[t1 t2]",
+        "pp-stable s0[s1 s2] x t0[t1[t2]]",
+        "segal x0[...x6]",
+        "pp-inner s0[s1[s2]] s1 x t0[t1 t2]",
+    ],
 )
-def test_same_batch_swap_matches_run_indices(make):
+def test_swap_verdicts_follow_the_independence_rule(make, independent, swaps):
     cert = make()
-    runs = reference_batch_runs(cert.steps)
-    swaps = [m for m in mutate_and_check(cert).mutations if m.description.startswith("swap")]
-    assert len(swaps) == len(cert.steps) - 1
-    for m in swaps:
-        i, j = map(int, m.description.split()[-1].split(","))
-        assert m.same_batch_swap == (runs[i] == runs[j]), m.description
-    assert {m.same_batch_swap for m in swaps} == {True, False}
+    rule = independent_swaps(cert)
+    verdicts = [
+        m.verdict.accepted
+        for m in mutate_and_check(cert).mutations
+        if m.description.startswith("swap")
+    ]
+    assert verdicts == rule
+    assert (sum(rule), len(rule)) == (independent, swaps)
 
 
 def test_poset_face_rejects_a_key_it_lacks(cold):

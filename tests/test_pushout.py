@@ -44,8 +44,7 @@ class TestEssentialData:
         S, T = parse_tree(WORKED_S), parse_tree(WORKED_T)
         poset = enumerate_shuffles(S, T)
         key = tuple(sorted(names(SHUFFLE2_EDGES)))
-        assert key in poset.index
-        sh = poset.shuffles[poset.index[key]]
+        sh = next(sh for sh in poset if sh.key == key)
         assert sh.vertex_colour(sh.tree.tree.root) == WHITE
         face = Face(sh.tree.tree, names(ESSENTIAL_EDGES), names(ESSENTIAL_CAPS))
         # Sub of this shuffle is huge; the invariant predicate suffices
@@ -287,7 +286,7 @@ class TestInvariants:
         S, T = parse_tree(WORKED_S), parse_tree(WORKED_T)
         poset = enumerate_shuffles(S, T)
         key = tuple(sorted(names(SHUFFLE2_EDGES)))
-        sh = poset.shuffles[poset.index[key]]
+        sh = next(sh for sh in poset if sh.key == key)
         hanging = names(
             [("1", "a"), ("4", "a"), ("5", "a"), ("4", "b"), ("4", "c"), ("5", "d")]
         )
@@ -295,11 +294,6 @@ class TestInvariants:
         corolla_leaves = {pair_name(l, x) for l in ("2", "3") for x in top}
         edges = {"0,a"} | corolla_leaves | hanging
         assert valid_face_key(sh.tree.tree, edges, set())
-
-    def test_bottom_steps_only_from_horn_phases(self):
-        cert = certify_pp_stable(parse_tree("s0[s1 s2]"), parse_tree("t0[t1]"))
-        for st in cert.steps:
-            assert (st.omit_kind == "bottom") == (st.batch[2] == 0)
 
     def test_no_step_face_added_twice(self):
         cert = certify_pp_stable(parse_tree("s0[s1 s2]"), parse_tree("t0[t1 t2]"))

@@ -111,7 +111,7 @@ def test_first_missing_face_matches_reference(text):
     t = p(text).tree
     top = full_face(t)
     for ef in all_elementary_faces(top):
-        steps = (Step(top.key, ef.kind, ef.at, (0, top.rank - 1, 1)),)
+        steps = (Step(top.key, ef.kind, ef.at),)
         cert = Certificate(t, empty_complex(t), class_of_steps(steps), steps)
         verdict = certify.replay_certificate(cert)
         assert verdict.reason.startswith("horn incomplete")

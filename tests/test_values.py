@@ -11,7 +11,6 @@ for ``PlanarTree``); mutable classes accept assignment and are unhashable.
 import copy
 import inspect
 import pickle
-import re
 
 import pytest
 
@@ -21,7 +20,7 @@ from dendro.complexes import FaceComplex, full_complex, segal_core
 from dendro.faces import Face
 from dendro.order import edge_order
 from dendro.pushout import EssentialData, certify_pp_stable
-from dendro.shuffles import PercolationPoset, enumerate_shuffles, initial_shuffle
+from dendro.shuffles import enumerate_shuffles, initial_shuffle
 from dendro.trees import Operation, PlanarTree, TreeError, TreeInfo, classify, parse_tree, tree
 
 S, T = parse_tree("s0[s1 s2]"), parse_tree("t0[t1 t2]")
@@ -57,7 +56,7 @@ CASES = {
     "FaceComplex": (lambda: segal_core(LINEAR.tree), ("ambient", "members"), True, True),
     "Step": (
         lambda: segal_certificate(LINEAR).steps[0],
-        ("face", "omit_kind", "omit_at", "batch"),
+        ("face", "omit_kind", "omit_at"),
         True,
         True,
     ),
@@ -69,13 +68,13 @@ CASES = {
     ),
     "Verdict": (_verdict, ("accepted", "step_index", "reason"), True, True),
     "Mutation": (
-        lambda: Mutation("drop step 0", False, _verdict()),
-        ("description", "same_batch_swap", "verdict"),
+        lambda: Mutation("drop step 0", _verdict()),
+        ("description", "verdict"),
         True,
         True,
     ),
     "MutationReport": (
-        lambda: MutationReport([Mutation("swap steps 0,1", True, Verdict(True))]),
+        lambda: MutationReport([Mutation("swap steps 0,1", Verdict(True))]),
         ("mutations",),
         False,
         False,
@@ -138,7 +137,7 @@ def test_unequal_fields_compare_unequal():
     assert Verdict(True) != Verdict(False)
     assert Operation.of("b", "a") != Operation.of("c", "a")
     step = segal_certificate(LINEAR).steps[0]
-    assert step != Step(step.face, step.omit_kind, step.omit_at, (9, 9, 9))
+    assert step != Step(step.face, step.omit_kind, "zz")
     assert AxiomReport({"F1": []}) != AxiomReport({"F1": ["x"]})
 
 
@@ -188,15 +187,6 @@ def test_repr_exact():
     assert repr(Operation(frozenset({"b"}), "a")) == "Operation(inputs=frozenset({'b'}), output='a')"
     assert repr(AxiomReport({"F1": []})) == "AxiomReport(failures={'F1': []})"
     assert repr(initial_shuffle(S, parse_tree("t0[t1]"))) == "Shuffle(s0,t0|s0,t1|s1,t1|s2,t1)"
-
-
-def test_percolation_index_is_derived():
-    poset = enumerate_shuffles(S, T)
-    assert poset.index == {sh.key: i for i, sh in enumerate(poset.shuffles)}
-    assert re.search(r", index=\{.*\}\)$", repr(poset))
-    rebuilt = PercolationPoset(poset.s_tree, poset.t_tree, poset.shuffles[::-1], poset.covers)
-    assert rebuilt.index[poset.shuffles[0].key] == len(poset) - 1
-    assert rebuilt != poset
 
 
 @pytest.mark.parametrize("name", NAMES)
