@@ -21,20 +21,7 @@ from .complexes import (
     horn_complex,
     segal_core,
 )
-from .faces import (
-    ElementaryFace,
-    Face,
-    FaceError,
-    MixedPairError,
-    all_elementary_faces,
-    apply_elementary_face,
-    classify_pair,
-    commute_square,
-    enumerate_sub,
-    full_face,
-    join_faces,
-    valid_face_key,
-)
+from .faces import ElementaryFace, Face, FaceError, all_elementary_faces, enumerate_sub, full_face
 from .order import CorollaBottomPairError, EdgeOrder, compare_face_maps, compare_operations, edge_order
 from .pushout import (
     EssentialData,
@@ -45,6 +32,17 @@ from .pushout import (
     certify_pp_stable,
     essential_data,
     white_root_extension_set,
+)
+from .reference import (
+    MixedPairError,
+    apply_elementary_face,
+    classify_pair,
+    commute_square,
+    graft,
+    join_faces,
+    operation_vertices,
+    unit_tree,
+    valid_face_key,
 )
 from .shuffles import (
     PercolationPoset,
@@ -61,14 +59,11 @@ from .trees import (
     TreeError,
     TreeParseError,
     classify,
-    graft,
     is_operation,
-    operation_vertices,
     parse_tree,
     render_tree,
     tree,
     tree_catalog,
-    unit_tree,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

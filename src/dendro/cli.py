@@ -3,7 +3,8 @@
 Exit codes: 0 success or certificate accepted, 1 verification failed,
 2 parse, usage or malformed-certificate error or an unreadable file,
 3 precondition violation (inadmissible pair, missing edge or vertex, or a
-``faces`` or producer input over the size bound that ``verify`` checks).
+``faces``, ``shuffles``, ``dot --s`` or producer input over the size bound
+that ``verify`` checks).
 """
 
 from __future__ import annotations
@@ -15,11 +16,10 @@ import sys
 from . import dot
 from .anodyne import segal_certificate
 from .certify import Certificate, replay_certificate
-from .complexes import MalformedCertificateError, bounded_tree, key_to_json
+from .complexes import MalformedCertificateError, bounded_tensor, bounded_tree, key_to_json
 from .faces import FaceError, enumerate_sub
 from .order import edge_order
 from .pushout import InadmissiblePairError, certify_pp_inner, certify_pp_stable
-from .shuffles import enumerate_shuffles
 from .trees import TreeError, TreeParseError, classify, parse_tree, render_tree
 
 
@@ -83,7 +83,7 @@ def _write_shuffles_dot(poset, args) -> None:
 
 def cmd_shuffles(args) -> int:
     s, t = parse_tree(args.s), parse_tree(args.t)
-    poset = enumerate_shuffles(s, t)
+    poset = bounded_tensor(s, t).poset
     if args.count:
         _write(str(len(poset)), args.out)
         return 0
@@ -137,7 +137,7 @@ def cmd_verify(args) -> int:
 
 def cmd_dot(args) -> int:
     if args.s:
-        _write_shuffles_dot(enumerate_shuffles(parse_tree(args.s), parse_tree(args.t)), args)
+        _write_shuffles_dot(bounded_tensor(parse_tree(args.s), parse_tree(args.t)).poset, args)
     else:
         _write(dot.tree_dot(parse_tree(args.t)), args.out)
     return 0

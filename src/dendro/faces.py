@@ -20,7 +20,7 @@ import functools
 import math
 from typing import AbstractSet, Iterable, Iterator
 
-from .trees import NAME_CHARS, EdgeBits, Operation, Tree, is_operation, render_tree
+from .trees import NAME_CHARS, EdgeBits, Operation, Tree, render_tree
 
 FaceKey = tuple[tuple[str, ...], tuple[str, ...]]
 
@@ -31,10 +31,6 @@ BOTTOM = "bottom"
 
 class FaceError(ValueError):
     """Raised for invalid faces or inapplicable face maps."""
-
-
-class MixedPairError(FaceError):
-    """No commuting square exists for a mixed pair."""
 
 
 def make_key(edges: Iterable[str], caps: Iterable[str]) -> FaceKey:
@@ -305,14 +301,6 @@ def _elementary_domains(p: Face) -> list[tuple[str, str, int, int]]:
     return out
 
 
-def apply_elementary_face(p: Face, kind: str, at: str) -> Face:
-    """The codimension-one face of ``p`` obtained by the given map."""
-    for k, a, edges, caps in _elementary_domains(p):
-        if k == kind and a == at:
-            return Face(p.ambient, edges, caps)
-    raise FaceError(f"{p!r} has no elementary face {kind}({at})")
-
-
 def all_elementary_faces(p: Face) -> list[ElementaryFace]:
     """All elementary face maps into ``p``, in the order of
     :func:`_elementary_domains`."""
@@ -322,42 +310,13 @@ def all_elementary_faces(p: Face) -> list[ElementaryFace]:
     ]
 
 
-def valid_face_key(ambient: Tree, edges: Iterable[str], caps: Iterable[str]) -> bool:
-    """Fast membership predicate for ``Sub``: checks the face invariants
-    directly against the ambient tree, without any closure computation."""
-    edges = frozenset(edges)
-    caps = frozenset(caps)
-    if not edges or not edges <= ambient.edges:
-        return False
-    minimal = [e for e in edges if not any(x != e and ambient.leq(x, e) for x in edges)]
-    if len(minimal) != 1:
-        return False
-    maximal = set()
-    for e in edges:
-        above = [x for x in edges if x != e and ambient.leq(e, x)]
-        if not above:
-            maximal.add(e)
-            continue
-        inputs = frozenset(
-            x for x in above if not any(y != x and y in above and ambient.leq(y, x) for y in above)
-        )
-        if not is_operation(ambient, Operation(inputs, e)):
-            return False
-    if not caps <= maximal:
-        return False
-    for c in caps:
-        if not is_operation(ambient, Operation(frozenset(), c)):
-            return False
-    return True
-
-
 def all_valid_face_keys(ambient: Tree) -> set[FaceKey]:
     """Every key accepted by the face invariants, by brute enumeration.
 
-    Checks the same conditions as :func:`valid_face_key` over all edge
-    subsets and cap choices, using bitmask arithmetic.  This is the oracle
-    side of the predicate-equals-closure equivalence; it never consults the
-    elementary face maps.
+    Checks the conditions of :func:`dendro.reference.valid_face_key` over
+    all edge subsets and cap choices, using bitmask arithmetic.  This is the
+    oracle side of the predicate-equals-closure equivalence; it never
+    consults the elementary face maps.  ``perfbench`` reads it here.
     """
     edges = sorted(ambient.edges)
     bit = {e: 1 << i for i, e in enumerate(edges)}
@@ -686,38 +645,6 @@ def memo_sub(text: str) -> SubPoset | None:
 # Pair classification
 # ---------------------------------------------------------------------------
 
-GOOD = "good"
-MIXED = "mixed"
-ADJACENT = "adjacent"
-BAD_SIBLING_TOPS = "bad_sibling_tops"
-BAD_SIBLING_BOTTOMS = "bad_sibling_bottoms"
-
-
-def classify_pair(f: ElementaryFace, g: ElementaryFace, mode: str = "faces") -> str:
-    """Classify a pair of elementary face maps.
-
-    ``mode`` states the shared context: ``"faces"`` for two faces of the
-    same codomain, ``"extensions"`` for two extensions of the same domain,
-    ``"composable"`` for ``f`` followed by ``g`` (f.codomain == g.domain).
-    """
-    if f == g:
-        raise FaceError("classify_pair requires two distinct maps")
-    if mode == "faces":
-        if f.codomain_key != g.codomain_key:
-            raise FaceError("face-pair mode requires a common codomain")
-        return MIXED if _is_mixed(f, g) else GOOD
-    if mode == "extensions":
-        if f.domain.key != g.domain.key:
-            raise FaceError("extension-pair mode requires a common domain")
-        if _is_bad_pair(f, g):
-            return BAD_SIBLING_TOPS if f.kind == TOP else BAD_SIBLING_BOTTOMS
-        return GOOD
-    if mode == "composable":
-        if f.codomain_key != g.domain.key:
-            raise FaceError("composable mode requires f.codomain == g.domain")
-        return ADJACENT if _is_adjacent(enumerate_sub(g.codomain.ambient), f, g) else GOOD
-    raise FaceError(f"unknown mode {mode!r}")
-
 
 def _is_mixed(f: ElementaryFace, g: ElementaryFace) -> bool:
     """Two faces of one face form a mixed pair: one contracts the inner
@@ -739,87 +666,3 @@ def _is_adjacent(poset: SubPoset, f: ElementaryFace, g: ElementaryFace) -> bool:
     with ``g``."""
     cand = poset.face_map(g.codomain, f.kind, f.at)
     return cand is None or poset.square(cand, g) is None
-
-
-def commute_square(
-    p: Face, f: ElementaryFace, g: ElementaryFace
-) -> tuple[Face, ElementaryFace, ElementaryFace, ElementaryFace, ElementaryFace]:
-    """The commuting square of a non-mixed pair of faces of ``p``.
-
-    Returns ``(corner, f_low, g_low, f_high, g_high)`` where the square is
-    ``corner -> f.domain -> p`` (via g_low then f=f_high) and equally
-    ``corner -> g.domain -> p``.  Raises :class:`MixedPairError` for a mixed
-    pair (no square exists).
-    """
-    if f.codomain_key != p.key or g.codomain_key != p.key:
-        raise FaceError("both maps must be faces of p")
-    if p.rank < 2:
-        raise FaceError("squares need a face with at least two vertices")
-    if classify_pair(f, g, mode="faces") == MIXED:
-        raise MixedPairError(f"{f.kind}({f.at}) and {g.kind}({g.at}) form a mixed pair")
-    sides = enumerate_sub(p.ambient).square(f, g)
-    if sides is None:
-        raise FaceError("dendroidal relation failed; pair does not commute")
-    return sides[1].domain, *sides, f, g
-
-
-def join_faces(
-    p: Face, f: ElementaryFace, g: ElementaryFace
-) -> tuple[Face, list[ElementaryFace], list[ElementaryFace]]:
-    """The unique minimal common extension of a codimension-one cospan.
-
-    ``f: p -> p1`` and ``g: p -> p2`` are extensions of ``p`` inside a common
-    ambient tree.  Returns ``(join, seq1, seq2)`` with equal-length extension
-    sequences from ``p1`` and ``p2`` up to the join, recovered greedily.
-    """
-    if f.domain.key != p.key or g.domain.key != p.key:
-        raise FaceError("both maps must be extensions of p")
-    poset = enumerate_sub(p.ambient)
-    join = poset.unique_join(f.codomain, g.codomain)
-    if join is None:
-        mins = poset.minimal_upper_bounds(f.codomain, g.codomain)
-        raise FaceError(
-            f"expected a unique minimal common extension, found {len(mins)}"
-        )
-    return join, _chain_up(poset, f.codomain, join), _chain_up(poset, g.codomain, join)
-
-
-def _chain_up(poset: SubPoset, start: Face, goal: Face) -> list[ElementaryFace]:
-    seq: list[ElementaryFace] = []
-    current = start
-    while current.key != goal.key:
-        step = min(
-            (
-                ef
-                for ef in poset.extensions_of(current)
-                if poset.leq(ef.codomain_key, goal.key)
-            ),
-            key=lambda ef: (ef.kind, ef.at, ef.codomain_key),
-        )
-        seq.append(step)
-        current = step.codomain
-    return seq
-
-
-def join_bad_tops_explicit(p: Face, f: ElementaryFace, g: ElementaryFace) -> Face:
-    """Direct construction of the join of two bad sibling-top extensions,
-    used as a cross-check for the upper-bound search.
-
-    The join grows both input sets over the shared edge; a new maximal
-    edge gets capped exactly when one of the two sides has no input on its
-    branch (that side's operation needs the branch to be dead).
-    """
-    if classify_pair(f, g, mode="extensions") != BAD_SIBLING_TOPS:
-        raise FaceError("expected a bad pair of sibling top extensions")
-    amb = p.ambient
-    a = set(f.codomain.vertex_inputs(f.at))
-    b = set(g.codomain.vertex_inputs(g.at))
-    edges = p.edges | a | b
-    new_max = {
-        x for x in a | b if not any(y != x and amb.leq(x, y) for y in edges)
-    }
-    caps = set(p.caps)
-    for x in new_max:
-        if not any(amb.leq(y, x) for y in a) or not any(amb.leq(y, x) for y in b):
-            caps.add(x)
-    return Face(amb, edges, frozenset(caps))

@@ -219,37 +219,6 @@ def enumerate_shuffles(s_tree: PlanarTree, t_tree: PlanarTree) -> PercolationPos
     return PercolationPoset(s_tree, t_tree, ordered, covers)
 
 
-def satisfies_shuffle_conditions(sh: Shuffle) -> bool:
-    """Literal check of the defining conditions: edges are pairs, the root
-    is the pair of roots, the leaves are exactly the pairs of leaves, and
-    every vertex expands one coordinate."""
-    S, T = sh.s_tree.tree, sh.t_tree.tree
-    tr = sh.tree.tree
-    for e in tr.edges:
-        s, t = split_name(e)
-        if s not in S.edges or t not in T.edges:
-            return False
-    if split_name(tr.root) != (S.root, T.root):
-        return False
-    want_leaves = {pair_name(s, t) for s in S.leaves for t in T.leaves}
-    if tr.leaves != want_leaves:
-        return False
-    for e in tr.edges - tr.leaves:
-        s, t = split_name(e)
-        kids = set(tr.children[e])
-        white = (
-            s not in S.leaves
-            and kids == {pair_name(c, t) for c in S.children[s]}
-        )
-        black = (
-            t not in T.leaves
-            and kids == {pair_name(s, c) for c in T.children[t]}
-        )
-        if not (white or black):
-            return False
-    return True
-
-
 def brute_force_shuffles(s_tree: PlanarTree, t_tree: PlanarTree) -> list[Shuffle]:
     """Independent top-down generator: at every non-leaf-pair edge choose
     which coordinate to expand; used as an oracle for the percolation

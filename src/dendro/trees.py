@@ -7,8 +7,8 @@ empty vertex, a *stump*.  The vertex above a non-leaf edge is the set of its
 immediate successors, so vertices are derived data, never stored.
 
 This module also provides the tree DSL (``parse_tree`` / ``render_tree``),
-grafting, the operation predicate, and an exhaustive catalog of small trees
-up to sibling-permutation isomorphism used as a test corpus.
+the operation predicate, and an exhaustive catalog of small trees up to
+sibling-permutation isomorphism used as a test corpus.
 """
 
 from __future__ import annotations
@@ -382,45 +382,9 @@ def tree(text: str) -> Tree:
     return parse_tree(text).tree
 
 
-def unit_tree(name: str = "e") -> Tree:
-    return Tree([name], {}, [name])
-
-
 # ---------------------------------------------------------------------------
-# Grafting and operations
+# Operations
 # ---------------------------------------------------------------------------
-
-
-def graft(base: Tree | PlanarTree, crowns: list[Tree]) -> Tree:
-    """Graft ``crowns[i]`` onto the i-th leaf of ``base``.
-
-    Crown ``i`` must have the i-th leaf of ``base`` (in planar order, or
-    canonical order for a bare tree) as its root; apart from these shared
-    edges, all edge sets must be disjoint.
-    """
-    if isinstance(base, PlanarTree):
-        base_leaves = base.ordered_leaves()
-        base_tree = base.tree
-    else:
-        base_tree = base
-        base_leaves = tuple(sorted(base.leaves))
-    if len(crowns) != len(base_leaves):
-        raise TreeError(
-            f"need one crown per leaf: {len(base_leaves)} leaves, {len(crowns)} crowns"
-        )
-    edges = set(base_tree.edges)
-    parent = dict(base_tree.parent)
-    leaves: set[str] = set()
-    for leaf, crown in zip(base_leaves, crowns):
-        if crown.root != leaf:
-            raise TreeError(f"crown root {crown.root!r} does not match leaf {leaf!r}")
-        overlap = (crown.edges & edges) - {leaf}
-        if overlap:
-            raise TreeError(f"edge names collide outside the shared root: {sorted(overlap)}")
-        edges |= crown.edges
-        parent.update(crown.parent)
-        leaves |= crown.leaves
-    return Tree(edges, parent, leaves)
 
 
 def is_operation(t: Tree, op: Operation) -> bool:
@@ -445,29 +409,6 @@ def is_operation(t: Tree, op: Operation) -> bool:
             if sum(1 for i in op.inputs if t.leq(i, s)) > 1:
                 return False
     return True
-
-
-def operation_vertices(t: Tree, op: Operation) -> frozenset[str]:
-    """Vertices sitting directly on top of an operation, keyed by output edge.
-
-    Considers only vertices in the subtree above ``op.output``.  A non-empty
-    vertex qualifies when all its inputs belong to the operation; a stump
-    qualifies when no input of the operation lies below its output.
-    """
-    if not is_operation(t, op):
-        raise TreeError("not an operation of the tree")
-    result = set()
-    for o in t.edges - t.leaves:
-        if not t.leq(op.output, o):
-            continue
-        v = t.vertex(o)
-        if v:
-            if v <= op.inputs:
-                result.add(o)
-        else:
-            if not any(t.leq(x, o) for x in op.inputs):
-                result.add(o)
-    return frozenset(result)
 
 
 # ---------------------------------------------------------------------------

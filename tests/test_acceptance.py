@@ -18,21 +18,23 @@ from dendro.complexes import _universe_of
 from dendro.faces import (
     BOTTOM,
     INNER,
-    MIXED,
     TOP,
     Face,
     all_elementary_faces,
     all_valid_face_keys,
-    apply_elementary_face,
-    classify_pair,
     enumerate_sub,
     full_face,
-    join_bad_tops_explicit,
     make_key,
-    valid_face_key,
 )
 from dendro.order import edge_order
 from dendro.pushout import certify_pp_inner, certify_pp_stable, essential_data
+from dendro.reference import (
+    MIXED,
+    apply_elementary_face,
+    classify_pair,
+    join_bad_tops_explicit,
+    valid_face_key,
+)
 from dendro.shuffles import brute_force_shuffles, enumerate_shuffles, pair_name
 from dendro.trees import parse_tree, tree, tree_catalog
 

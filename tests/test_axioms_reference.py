@@ -13,8 +13,9 @@ from conftest import recorded_extension_sets
 
 from dendro.anodyne import AXIOMS, ExtensionSet, check_axioms, inner_extension_set
 from dendro.complexes import empty_complex, segal_core
-from dendro.faces import ADJACENT, MIXED, classify_pair, enumerate_sub
+from dendro.faces import enumerate_sub
 from dendro.pushout import certify_pp_inner, certify_pp_stable
+from dendro.reference import ADJACENT, MIXED, classify_pair
 from dendro.trees import parse_tree as p
 from dendro.trees import tree_catalog
 

@@ -3,8 +3,10 @@ from pathlib import Path
 
 import pytest
 
+from dendro import cli, complexes
 from dendro.anodyne import Certificate
 from dendro.cli import run
+from dendro.complexes import MAX_TENSOR_VERTICES
 
 DATA = Path(__file__).parent / "data"
 
@@ -136,6 +138,45 @@ class TestDot:
         assert run(["dot", "--t", "c[d]", "--s", "a[b]"]) == 0
         out, _ = capture(capsys)
         assert "fillcolor=white" in out and "fillcolor=black" in out
+
+
+@pytest.fixture
+def shuffle_calls(monkeypatch):
+    """The number of calls of ``enumerate_shuffles`` so far, which ``cli``
+    reaches only through the tensor in ``complexes``."""
+    calls = [0]
+    real = complexes.enumerate_shuffles
+
+    def counted(s_tree, t_tree):
+        calls[0] += 1
+        return real(s_tree, t_tree)
+
+    monkeypatch.setattr(complexes, "enumerate_shuffles", counted)
+    return calls
+
+
+class TestTensorBound:
+    """``shuffles`` and ``dot --s`` refuse what ``verify`` refuses (exit 3)
+    before they enumerate a shuffle."""
+
+    OVER = ["--s", "s0[s1[s2[s3[s4[s5]]]]]", "--t", "t0[t1[t2[t3[t4[t5]]]]]"]
+    COMMANDS = [["shuffles", "--count"], ["shuffles", "--format", "dot"], ["dot"]]
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=" ".join)
+    def test_over_bound_pair_exit_3(self, capsys, shuffle_calls, command):
+        assert run(command + self.OVER) == 3
+        err = f"error: the tensor factors have more than {MAX_TENSOR_VERTICES} vertices\n"
+        assert capture(capsys) == ("", err)
+        assert shuffle_calls == [0]
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=" ".join)
+    def test_small_pair_exit_0(self, capsys, shuffle_calls, command):
+        assert run(command + ["--s", "a[b]", "--t", "c[d]"]) == 0
+        assert capture(capsys)[0]
+        assert shuffle_calls == [1]
+
+    def test_cli_has_no_unguarded_enumeration(self):
+        assert not hasattr(cli, "enumerate_shuffles")
 
 
 class TestMalformedCertificates:

@@ -9,11 +9,11 @@ linearization with the same planar structure.
 
 import pytest
 
+from dendro.reference import satisfies_shuffle_conditions
 from dendro.shuffles import (
     brute_force_shuffles,
     enumerate_shuffles,
     initial_shuffle,
-    satisfies_shuffle_conditions,
     terminal_shuffle,
 )
 from dendro.trees import render_tree, tree_catalog

@@ -3,29 +3,31 @@ import itertools
 import pytest
 
 from dendro.faces import (
-    ADJACENT,
-    BAD_SIBLING_BOTTOMS,
-    BAD_SIBLING_TOPS,
     BOTTOM,
-    GOOD,
     INNER,
-    MIXED,
     TOP,
     ElementaryFace,
     Face,
     FaceError,
-    MixedPairError,
     SubPoset as SubPosetFresh,
     all_elementary_faces,
     all_valid_face_keys,
+    enumerate_sub,
+    full_face,
+    make_key,
+)
+from dendro.reference import (
+    ADJACENT,
+    BAD_SIBLING_BOTTOMS,
+    BAD_SIBLING_TOPS,
+    GOOD,
+    MIXED,
+    MixedPairError,
     apply_elementary_face,
     classify_pair,
     commute_square,
-    enumerate_sub,
-    full_face,
     join_bad_tops_explicit,
     join_faces,
-    make_key,
     valid_face_key,
 )
 from dendro.trees import tree, tree_catalog

@@ -18,9 +18,9 @@ from dendro.faces import (
     FaceError,
     SubPoset,
     all_elementary_faces,
-    apply_elementary_face,
     enumerate_sub,
 )
+from dendro.reference import apply_elementary_face
 from dendro.trees import parse_tree, tree_catalog
 
 

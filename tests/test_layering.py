@@ -2,7 +2,10 @@
 
 The verifier (``certify``) owns the certificate format and its replay and
 imports none of the modules that produce certificates: its ``dendro``
-imports are exactly the face and complex layers.  Every import sits at
+imports are exactly the face and complex layers.  ``reference`` holds the
+paper's literal definitions for the tests: it imports only the tree, face
+and shuffle layers, no command's module imports it, and no definition it
+holds is left behind in the module it came from.  Every import sits at
 module level: an import inside a function hides a dependency (or a cycle)
 from the reader and from tools that rebind module-level names.
 
@@ -21,6 +24,7 @@ from pathlib import Path
 import pytest
 
 import dendro
+from dendro import faces, shuffles, trees
 
 SRC = Path(dendro.__file__).resolve().parent
 PRODUCERS = {"anodyne", "order", "pushout", "cli"}
@@ -64,6 +68,33 @@ def test_certify_imports_no_producer():
     imports = dendro_imports(_parse(SRC / "certify.py"))
     assert imports & PRODUCERS == set()
     assert imports == {"faces", "complexes"}
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCERS | {"certify"}))
+def test_no_command_imports_reference(name):
+    assert "reference" not in dendro_imports(_parse(SRC / f"{name}.py"))
+
+
+def test_reference_imports_only_trees_faces_and_shuffles():
+    assert dendro_imports(_parse(SRC / "reference.py")) <= {"trees", "faces", "shuffles"}
+
+
+MOVED_TO_REFERENCE = {
+    faces: [
+        "valid_face_key", "classify_pair", "GOOD", "MIXED", "ADJACENT", "BAD_SIBLING_TOPS",
+        "BAD_SIBLING_BOTTOMS", "MixedPairError", "commute_square", "join_faces", "_chain_up",
+        "join_bad_tops_explicit", "apply_elementary_face",
+    ],
+    shuffles: ["satisfies_shuffle_conditions"],
+    trees: ["graft", "operation_vertices", "unit_tree"],
+}
+
+
+@pytest.mark.parametrize("module", MOVED_TO_REFERENCE, ids=lambda m: m.__name__)
+def test_the_moved_definitions_are_gone_from_their_old_modules(module):
+    names = MOVED_TO_REFERENCE[module]
+    assert [name for name in names if hasattr(module, name)] == []
+    assert all(hasattr(dendro.reference, name) for name in names)
 
 
 def absolute_imports(module: ast.Module) -> set[str]:

@@ -12,16 +12,12 @@ face with the rules written out below.
 from collections import Counter
 
 from dendro.faces import (
-    BAD_SIBLING_BOTTOMS,
-    BAD_SIBLING_TOPS,
     BOTTOM,
-    GOOD,
     INNER,
-    MIXED,
     TOP,
-    classify_pair,
     enumerate_sub,
 )
+from dendro.reference import BAD_SIBLING_BOTTOMS, BAD_SIBLING_TOPS, GOOD, MIXED, classify_pair
 from dendro.trees import parse_tree as p
 from dendro.trees import tree_catalog
 

@@ -3,7 +3,7 @@ import pytest
 from dendro.anodyne import check_axioms
 from dendro.certify import replay_certificate
 from dendro.complexes import TensorAmbient, full_complex
-from dendro.faces import Face, FaceError, enumerate_sub, full_face, make_key, valid_face_key
+from dendro.faces import Face, FaceError, enumerate_sub, full_face, make_key
 from dendro.pushout import (
     InadmissiblePairError,
     PPContext,
@@ -14,6 +14,7 @@ from dendro.pushout import (
     white_root_extension_set,
 )
 from dendro.order import EdgeOrder
+from dendro.reference import valid_face_key
 from dendro.shuffles import BLACK, WHITE, enumerate_shuffles, pair_name
 from dendro.trees import PlanarTree, parse_tree
 

@@ -16,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dendro.shuffles import brute_force_shuffles, enumerate_shuffles, satisfies_shuffle_conditions
+from dendro.reference import satisfies_shuffle_conditions
+from dendro.shuffles import brute_force_shuffles, enumerate_shuffles
 from dendro.trees import parse_tree, render_tree, tree_catalog
 
 MAX_VERTICES = 2

@@ -1,5 +1,6 @@
 import math
 
+from dendro.reference import satisfies_shuffle_conditions
 from dendro.shuffles import (
     BLACK,
     WHITE,
@@ -8,7 +9,6 @@ from dendro.shuffles import (
     initial_shuffle,
     pair_name,
     percolation_successors,
-    satisfies_shuffle_conditions,
     terminal_shuffle,
 )
 from dendro.trees import parse_tree, render_tree, tree_catalog

@@ -13,17 +13,19 @@ covers.
 import itertools
 
 from dendro.faces import (
-    MIXED,
     ElementaryFace,
     Face,
     FaceError,
-    MixedPairError,
     SubPoset,
     _is_adjacent,
+    enumerate_sub,
+)
+from dendro.reference import (
+    MIXED,
+    MixedPairError,
     apply_elementary_face,
     classify_pair,
     commute_square,
-    enumerate_sub,
 )
 from dendro.shuffles import enumerate_shuffles
 from dendro.trees import parse_tree, tree_catalog

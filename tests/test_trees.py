@@ -4,20 +4,18 @@ import random
 import pytest
 
 from dendro import trees
+from dendro.reference import graft, operation_vertices, unit_tree
 from dendro.trees import (
     Operation,
     Tree,
     TreeError,
     TreeParseError,
     classify,
-    graft,
     is_operation,
-    operation_vertices,
     parse_tree,
     render_tree,
     tree,
     tree_catalog,
-    unit_tree,
 )
 
 # The running example: stump above c, top vertex {a,b} above e,
